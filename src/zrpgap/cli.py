@@ -4,8 +4,8 @@ Every run echoes its fully resolved configuration (defaults included) into a
 manifest together with sha256 digests of the written outputs, so a rerun
 with the same configuration and seed is byte-identical and verifiably so.
 Exit codes: 0 success, 1 configuration error, 2 capacity error, 3 partial
-sweep.  The only environment variable consulted is ZRPGAP_OUT (default
-output directory).
+sweep, 4 eigensolver failure.  The only environment variable consulted is
+ZRPGAP_OUT (default output directory).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .coupling import (
     point_mass,
     sample_coupling_times,
 )
-from .errors import CapacityError
+from .errors import CapacityError, SolverConvergenceError
 from .flow import (
     CERTIFICATE_CSV_HEADER,
     comparison_certificate,
@@ -395,7 +395,7 @@ def _cmd_sweep(args):
                         rows.append(f"{prefix},{bound.quotient!r},,{norm!r},")
                     else:
                         raise ConfigError(f"sweep does not support task {args.task!r}")
-                except (CapacityError, ValueError) as exc:
+                except (CapacityError, SolverConvergenceError, ValueError) as exc:
                     failures += 1
                     rows.append(f"{prefix},,,,{type(exc).__name__}: {exc}")
     csv = header + "\n" + "\n".join(rows) + "\n" if rows else header + "\n"
@@ -594,6 +594,9 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 2
+    except SolverConvergenceError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -19,14 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy import stats as sps
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .configurations import (
     DEFAULT_MAX_CONFIGURATIONS,
     configuration_count,
     enumerate_configurations,
     random_configuration,
-    transitions,
     validate_configuration,
 )
 from .errors import CapacityError, SolverConvergenceError
@@ -34,17 +33,24 @@ from .graphs import GraphSpec, Torus
 from .seeding import make_generator
 from .stats import empty_probability_exact, occupancy_marginal_moments
 
-DENSE_THRESHOLD = 2000
+# Dense ``eigh`` and the deflated Lanczos solve of ``exact_gap`` cost the same
+# (2-7 ms) between about 120 and 220 states on a 2-core x86 machine; above
+# that the cubic dense solve loses fast (34 ms against 5 ms at 462 states).
+DENSE_THRESHOLD = 200
 UNIFORMIZATION_TAIL = 1e-12
 
 
 @dataclass
 class Generator:
-    """Sparse symmetric rate matrix over the enumerated configuration space."""
+    """Sparse symmetric rate matrix over the enumerated configuration space.
+
+    ``occupancies`` is ``configurations`` as an ``(N, n)`` integer array.
+    """
 
     graph: GraphSpec
     particles: int
     configurations: list[tuple[int, ...]]
+    occupancies: np.ndarray
     matrix: sparse.csr_matrix
     _index: dict | None = None
 
@@ -62,33 +68,63 @@ class Generator:
             raise ValueError(f"{occ} is not a configuration of this generator")
 
 
+def _rank_table(n: int, r: int) -> np.ndarray:
+    """``table[m, x] = C(x + m, m)`` for ``m < n`` and ``x <= r``.
+
+    Row m is the running sum of row m - 1 (Pascal's rule), and every entry is
+    at most C(r + n - 1, n - 1), the size of the space, so int64 is exact.
+    """
+    table = np.ones((n, r + 1), dtype=np.int64)
+    for m in range(1, n):
+        np.cumsum(table[m - 1], out=table[m])
+    return table
+
+
+def _lex_ranks(occ: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """:func:`rank_configuration` of every row of ``occ``, vectorized.
+
+    With ``rem_i`` the particles at positions >= i and ``m = n - i - 1``,
+    position i contributes sum_{b < occ_i} C(rem_i - b + m - 1, m - 1), which
+    by the hockey-stick identity is ``table[m, rem_i] - table[m, rem_{i+1}]``.
+    """
+    n = occ.shape[1]
+    rem = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]
+    m = np.arange(n - 1, 0, -1)
+    return (table[m, rem[:, :-1]] - table[m, rem[:, 1:]]).sum(axis=1)
+
+
 def build_generator(graph: GraphSpec, r: int, max_states: int = DEFAULT_MAX_CONFIGURATIONS) -> Generator:
-    """Assemble the generator of the r-particle process on ``graph``."""
+    """Assemble the generator of the r-particle process on ``graph``.
+
+    Each ordered neighbor pair (v, w) moves one particle from v to w on every
+    configuration with v occupied, at rate 1/degree; repeated neighbors (the
+    degenerate torus) add up.  The diagonal is minus the row sum.
+    """
     n = graph.vertex_count
     configs = enumerate_configurations(n, r, limit=max_states)
-    index = {c: i for i, c in enumerate(configs)}
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for i, occ in enumerate(configs):
-        acc: dict[int, float] = {}
-        for target, rate in transitions(graph, occ):
-            j = index[target]
-            acc[j] = acc.get(j, 0.0) + rate
-        total = 0.0
-        for j, q in acc.items():
-            rows.append(i)
-            cols.append(j)
-            vals.append(q)
-            total += q
-        rows.append(i)
-        cols.append(i)
-        vals.append(-total)
+    occ = np.array(configs, dtype=np.int64)
+    dim = len(configs)
+    table = _rank_table(n, r)
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    for v in range(n):
+        src = np.flatnonzero(occ[:, v])
+        moved = occ[src]
+        moved[:, v] -= 1
+        for w in graph.neighbors(v):
+            moved[:, w] += 1
+            rows.append(src)
+            cols.append(_lex_ranks(moved, table))
+            moved[:, w] -= 1
+    diag = np.arange(dim)
+    rows_all = np.concatenate([diag, *rows])
+    vals = np.full(rows_all.size, 1.0 / graph.degree)
+    vals[:dim] = -np.bincount(rows_all[dim:], weights=vals[dim:], minlength=dim)
     matrix = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(len(configs), len(configs))
+        (vals, (rows_all, np.concatenate([diag, *cols]))), shape=(dim, dim)
     )
     return Generator(
-        graph=graph, particles=r, configurations=configs, matrix=matrix, _index=index
+        graph=graph, particles=r, configurations=configs, occupancies=occ, matrix=matrix
     )
 
 
@@ -110,36 +146,46 @@ class SpectralReport:
         }
 
 
-def exact_gap(
-    gen: Generator, method: str = "auto", dense_threshold: int = DENSE_THRESHOLD
-) -> SpectralReport:
+def exact_gap(gen: Generator, method: str = "auto") -> SpectralReport:
     """Smallest nonzero eigenvalue of the negated generator.
 
-    Dense symmetric eigendecomposition below ``dense_threshold`` states;
-    above it, a shift-invert Lanczos solve for the two eigenvalues nearest
-    zero (the known zero mode plus the gap).  The 2-norm residual of the
-    computed eigenpair is reported either way.
+    Dense symmetric eigendecomposition up to ``DENSE_THRESHOLD`` states.
+    Above it, Lanczos with no factorization: ARPACK finds the largest
+    eigenvalue theta of ``P (c I + Q) P``, where P projects out the constant
+    vector (the zero mode) and ``c`` is twice the largest exit rate, so that
+    ``c`` bounds the spectrum of -Q by Gershgorin.  The gap is ``c - theta``.
+    The start vector is fixed, so repeated solves return the same floats.
+    The 2-norm residual of the computed eigenpair is reported either way.
     """
-    dim = gen.matrix.shape[0]
+    dim = gen.dimension
     if dim < 2:
         raise ValueError("gap undefined on a single-configuration space")
     if method == "auto":
-        method = "dense" if dim <= dense_threshold else "iterative"
+        method = "dense" if dim <= DENSE_THRESHOLD else "iterative"
     neg = -gen.matrix
     if method == "dense":
         values, vectors = np.linalg.eigh(neg.toarray())
         gap = float(values[1])
         vec = vectors[:, 1]
     elif method == "iterative":
+        if dim < 3:
+            raise ValueError("the iterative solver needs at least 3 configurations")
+        c = 2.0 * float(neg.diagonal().max())
+
+        def shifted(x):
+            y = c * x - neg @ x
+            return y - y.mean()
+
+        op = LinearOperator((dim, dim), matvec=shifted, dtype=float)
+        v0 = np.random.default_rng(0).standard_normal(dim)
         try:
-            values, vectors = eigsh(neg.tocsc(), k=2, sigma=-0.05, which="LM")
+            values, vectors = eigsh(op, k=1, which="LA", v0=v0)
         except ArpackNoConvergence as exc:
             raise SolverConvergenceError(
                 f"eigensolver did not converge on dimension {dim}: {exc}",
             ) from exc
-        order = np.argsort(values)
-        gap = float(values[order[1]])
-        vec = vectors[:, order[1]]
+        gap = c - float(values[0])
+        vec = vectors[:, 0]
     else:
         raise ValueError(f"unknown method {method!r}")
     residual = float(np.linalg.norm(neg @ vec - gap * vec))
@@ -271,6 +317,16 @@ def evaluate_on_space(gen: Generator, f) -> np.ndarray:
     return values
 
 
+def _rayleigh_parts(gen: Generator, values: np.ndarray) -> tuple[float, float]:
+    """Dirichlet form and variance of ``values`` under the uniform law."""
+    centered = values - values.mean()
+    variance = float(centered @ centered) / gen.dimension
+    if variance <= 1e-300:
+        raise ValueError("test function has zero variance under the uniform law")
+    dirichlet = -float(centered @ (gen.matrix @ centered)) / gen.dimension
+    return dirichlet, variance
+
+
 def rayleigh_quotient(gen: Generator, f) -> float:
     """Dirichlet form over variance of ``f`` under the uniform law.
 
@@ -278,12 +334,7 @@ def rayleigh_quotient(gen: Generator, f) -> float:
     variational principle this is an upper bound on the spectral gap, with
     equality at the second eigenvector.
     """
-    values = evaluate_on_space(gen, f)
-    centered = values - values.mean()
-    variance = float(centered @ centered) / gen.dimension
-    if variance <= 1e-300:
-        raise ValueError("test function has zero variance under the uniform law")
-    dirichlet = -float(centered @ (gen.matrix @ centered)) / gen.dimension
+    dirichlet, variance = _rayleigh_parts(gen, evaluate_on_space(gen, f))
     return dirichlet / variance
 
 
@@ -392,12 +443,7 @@ def wilson_bound(
 
     if mode == "enumerate":
         gen = build_generator(graph, r, max_states=max_states)
-        values = np.array([float(np.dot(phi, c)) for c in gen.configurations])
-        centered = values - values.mean()
-        variance = float(centered @ centered) / gen.dimension
-        if variance <= 1e-300:
-            raise ValueError("zero-variance test function")
-        dirichlet = -float(centered @ (gen.matrix @ centered)) / gen.dimension
+        dirichlet, variance = _rayleigh_parts(gen, gen.occupancies @ phi)
         return WilsonBound(variant, mode, dirichlet / variance, dirichlet, variance)
 
     if mode == "closed_form":

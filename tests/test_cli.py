@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from zrpgap import cli
 from zrpgap.cli import main
+from zrpgap.errors import SolverConvergenceError
 
 
 def run_cli(args, tmp_path, name):
@@ -125,6 +127,33 @@ def test_sweep_success_and_partial(tmp_path):
     assert manifest["status"] == "partial"
     lines = (out / "sweep.csv").read_text().splitlines()
     assert "CapacityError" in lines[2]
+
+
+def test_exact_gap_reruns_are_byte_identical(tmp_path):
+    args = ["exact-gap", "--d", "1", "--L", "6", "--rho", "2"]
+    code1, out1 = run_cli(list(args), tmp_path, "g1")
+    code2, out2 = run_cli(list(args), tmp_path, "g2")
+    assert code1 == code2 == 0
+    assert read_json(out1 / "exact_gap.json")["method"] == "iterative"
+    assert (out1 / "exact_gap.json").read_bytes() == (out2 / "exact_gap.json").read_bytes()
+
+
+def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
+    def fail(gen, method="auto"):
+        raise SolverConvergenceError("no convergence")
+
+    monkeypatch.setattr(cli, "exact_gap", fail)
+    code, _ = run_cli(["exact-gap", "--d", "1", "--L", "4", "--r", "2"], tmp_path, "s1")
+    assert code == 4
+    assert "solver error" in capsys.readouterr().err
+
+    code, out = run_cli(
+        ["sweep", "--task", "exact-gap", "--L-values", "3", "--rho-values", "1"],
+        tmp_path, "s2",
+    )
+    assert code == 3
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert "SolverConvergenceError" in lines[1]
 
 
 def test_sweep_empty_grid(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import product
 
 import pytest
@@ -58,6 +59,22 @@ def test_unrank_range_check():
         assert rank_configuration(unrank_configuration(i, 5, 4)) == i
     for i in range(126):
         assert rank_configuration(unrank_configuration(i, 5, 5)) == i
+
+
+def test_rank_unrank_random_roundtrips():
+    rng = random.Random(20041)
+    for _ in range(300):
+        n, r = rng.randint(1, 40), rng.randint(0, 40)
+        total = configuration_count(n, r)
+        index = rng.randrange(total)
+        occ = unrank_configuration(index, n, r)
+        assert len(occ) == n and sum(occ) == r
+        assert rank_configuration(occ) == index
+        # stars and bars: an independent uniform draw of a configuration
+        bars = sorted(rng.sample(range(n + r - 1), n - 1))
+        cuts = [-1] + bars + [n + r - 1]
+        drawn = tuple(b - a - 1 for a, b in zip(cuts, cuts[1:]))
+        assert unrank_configuration(rank_configuration(drawn), n, r) == drawn
 
 
 def test_capacity_limit():

@@ -2,9 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+from zrpgap import spectral
+from zrpgap.configurations import (
+    enumerate_configurations,
+    rank_configuration,
+    transitions,
+    unrank_configuration,
+)
 from zrpgap.graphs import Complete, Torus
+from zrpgap.seeding import make_generator
 from zrpgap.spectral import (
+    DENSE_THRESHOLD,
     build_generator,
     exact_gap,
     fit_decay_rate,
@@ -37,17 +47,42 @@ def test_three_cycle_equals_triangle():
     assert np.array_equal(a, b)
 
 
+def loop_generator(graph, r):
+    """Reference assembly: one state at a time from ``transitions``."""
+    configs = enumerate_configurations(graph.vertex_count, r)
+    index = {c: i for i, c in enumerate(configs)}
+    rows, cols, vals = [], [], []
+    for i, occ in enumerate(configs):
+        total = 0.0
+        for target, rate in transitions(graph, occ):
+            rows.append(i)
+            cols.append(index[target])
+            vals.append(rate)
+            total += rate
+        rows.append(i)
+        cols.append(i)
+        vals.append(-total)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(len(configs), len(configs)))
+
+
 @pytest.mark.parametrize(
     "graph,r",
-    [(Complete(3), 2), (Complete(4), 3), (Torus(1, 4), 2), (Torus(1, 2), 2)],
+    [
+        (Complete(3), 2), (Complete(4), 3), (Torus(1, 4), 2), (Torus(1, 2), 2),
+        (Torus(2, 2), 4), (Torus(3, 3), 3), (Complete(4), 5), (Complete(9), 6),
+        (Torus(1, 7), 7),
+    ],
 )
 def test_generator_symmetric_with_uniform_stationary(graph, r):
     q = build_generator(graph, r).matrix
-    dense = q.toarray()
-    assert np.array_equal(dense, dense.T)
+    ref = loop_generator(graph, r)
+    assert np.array_equal(q.indptr, ref.indptr)
+    assert np.array_equal(q.indices, ref.indices)
+    assert np.abs(q.data - ref.data).max() <= 1e-15
+    assert abs(q - q.T).max() == 0.0
     # uniform stationarity: column sums vanish
-    assert np.abs(dense.sum(axis=0)).max() < 1e-12
-    assert np.abs(dense.sum(axis=1)).max() < 1e-12
+    assert np.abs(q.sum(axis=0)).max() < 1e-12
+    assert np.abs(q.sum(axis=1)).max() < 1e-12
 
 
 def test_spectrum_real_nonnegative_simple_zero():
@@ -71,13 +106,51 @@ def test_gap_closed_forms():
 
 
 def test_dense_and_iterative_agree():
-    for graph, r in [(Complete(4), 3), (Torus(1, 5), 3), (Complete(5), 2)]:
+    # sizes from 3 states up to and across DENSE_THRESHOLD
+    for graph, r in [
+        (Complete(2), 2), (Complete(4), 3), (Torus(1, 5), 3), (Complete(5), 2),
+        (Torus(1, 4), 8), (Complete(5), 6), (Torus(2, 3), 2), (Torus(1, 5), 7),
+    ]:
         gen = build_generator(graph, r)
         dense = exact_gap(gen, method="dense")
         iterative = exact_gap(gen, method="iterative")
         assert iterative.method == "iterative"
-        assert abs(dense.gap - iterative.gap) < 1e-8
-        assert iterative.residual < 1e-8
+        assert abs(dense.gap - iterative.gap) < 1e-10
+        assert iterative.residual < 1e-10
+
+
+def test_iterative_gap_of_multiplicity_two():
+    # 252 states, just above the dense threshold; the +k and -k Fourier
+    # modes of the ring give the gap multiplicity 2
+    gen = build_generator(Torus(1, 6), 5)
+    assert gen.dimension > DENSE_THRESHOLD
+    values = np.linalg.eigvalsh(-gen.matrix.toarray())
+    assert values[2] - values[1] < 1e-12 < values[3] - values[2]
+    report = exact_gap(gen)
+    assert report.method == "iterative"
+    assert abs(report.gap - values[1]) < 1e-10
+
+
+def test_iterative_gap_is_reproducible():
+    gen = build_generator(Torus(1, 5), 8)
+    first = exact_gap(gen, method="iterative")
+    for _ in range(3):
+        assert exact_gap(gen, method="iterative") == first
+
+
+def test_iterative_needs_three_states():
+    with pytest.raises(ValueError):
+        exact_gap(build_generator(Complete(2), 1), method="iterative")
+
+
+@pytest.mark.parametrize("n,r", [(2, 7), (3, 4), (5, 5), (9, 3), (12, 10), (30, 6)])
+def test_vectorized_ranks_match_rank_configuration(n, r):
+    rng = make_generator(n * 100 + r)
+    total = math.comb(n + r - 1, r)
+    picks = rng.integers(total, size=min(total, 300))
+    configs = [unrank_configuration(int(i), n, r) for i in picks]
+    ranks = spectral._lex_ranks(np.array(configs), spectral._rank_table(n, r))
+    assert ranks.tolist() == [rank_configuration(c) for c in configs]
 
 
 def test_transient_distribution_is_stochastic():
