@@ -86,7 +86,7 @@ def _resolve_particles(args, vertex_count: int) -> tuple[int, dict]:
     if (r is None) == (rho is None):
         raise ConfigError("give exactly one of --r or --rho")
     if r is None:
-        requested = _parse_rho(rho) if isinstance(rho, str) else float(rho)
+        requested = _parse_rho(rho)
         r = int(round(requested * vertex_count))
         echo = {
             "rho_requested": requested,
@@ -367,7 +367,7 @@ def _cmd_tails(args):
 def _cmd_sweep(args):
     ds = args.d_values
     Ls = args.L_values
-    rhos = [(_parse_rho(x) if isinstance(x, str) else float(x)) for x in args.rho_values]
+    rhos = [_parse_rho(x) for x in args.rho_values]
     header = "d,L,r,rho_requested,rho_actual,gap,relaxation_time,normalized,error"
     rows = []
     failures = 0
@@ -555,32 +555,54 @@ def build_parser() -> argparse.ArgumentParser:
 _STOCHASTIC = {"couple", "reversal-w", "drift", "occupancy"}
 
 
-def _apply_config_file(args) -> None:
-    if not getattr(args, "config", None):
-        return
+def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """``argv`` with the ``--config`` file's entries inserted as flags.
+
+    They go right after the subcommand, so they pass the same types and
+    choices as flags, can supply required flags, and lose to any flag given
+    on the command line (argparse keeps the last value it sees).
+    """
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    # the subcommand is the first bare token: no top-level option takes a value
+    where = next((k for k, tok in enumerate(argv) if not tok.startswith("-")), 0)
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = subparsers.choices.get(argv[where]) if argv else None
+    if path is None or sub is None:
+        return argv  # parse_args reports what is missing
     try:
-        with open(args.config) as handle:
+        with open(path) as handle:
             data = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
+        sub.error(f"cannot read config file: {exc}")
     if not isinstance(data, dict):
-        raise ConfigError("config file must hold a JSON object")
+        sub.error("config file must hold a JSON object")
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+    flags = []
     for key, value in data.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, attr) is None or getattr(args, attr) == []:
-            setattr(args, attr, value)
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            sub.error(f"unknown config key {key!r}")
+        flag = action.option_strings[0]
+        if action.nargs == 0:  # store_true
+            flags += [flag] if value is True else []
+        elif isinstance(value, list):
+            items = [str(x) for x in value]
+            flags += [flag, *items] if action.nargs else [flag, ",".join(items)]
+        elif value is not None:
+            flags += [flag, str(value)]
+    return argv[: where + 1] + flags + argv[where + 1 :]
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(parser, argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        _apply_config_file(args)
         if args.subcommand in _STOCHASTIC and getattr(args, "seed", None) is None:
             raise ConfigError(f"{args.subcommand} needs --seed")
         if args.subcommand == "tails" and args.kind == "rw" and args.seed is None:

@@ -9,7 +9,6 @@ occupancy tuple, which makes the rank/unrank pair a stable dense index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,41 +143,3 @@ def transitions(graph: GraphSpec, occ) -> list[tuple[tuple[int, ...], float]]:
             out.append((tuple(target), rate))
     return out
 
-
-@dataclass(frozen=True)
-class RankedState:
-    """Positions of explicitly ranked particles.
-
-    ``positions[i]`` is the vertex holding the particle of rank i+1; rank 1
-    is expelled first when its vertex fires.  Prefix occupancies (counts of
-    ranks <= j per vertex) recover the plain configuration at j = r.
-    """
-
-    positions: tuple[int, ...]
-
-    @classmethod
-    def from_configuration(cls, occ) -> "RankedState":
-        """Deterministic initial ranking: by vertex index, ties arbitrary."""
-        occ = validate_configuration(occ)
-        positions = []
-        for v, k in enumerate(occ):
-            positions.extend([v] * k)
-        return cls(tuple(positions))
-
-    @property
-    def particle_count(self) -> int:
-        return len(self.positions)
-
-    def prefix_occupancy(self, n: int, j: int | None = None) -> tuple[int, ...]:
-        """Occupancy counting only ranks 1..j (all ranks when j is None)."""
-        if j is None:
-            j = len(self.positions)
-        if not 0 <= j <= len(self.positions):
-            raise ValueError("rank prefix out of range")
-        occ = [0] * n
-        for v in self.positions[:j]:
-            occ[v] += 1
-        return tuple(occ)
-
-    def occupancy(self, n: int) -> tuple[int, ...]:
-        return self.prefix_occupancy(n)

@@ -137,10 +137,6 @@ class CoupledState:
         self._stage_start = 0.0
         _settle(self)
 
-    @property
-    def step(self) -> int:
-        return self.phase
-
     def configurations(self):
         return self.one.occupancy(), self.two.occupancy()
 
@@ -202,6 +198,25 @@ def _assert_pairing(state: CoupledState) -> None:
                 )
 
 
+def _step(state: CoupledState, v: int, w: int) -> None:
+    """Fire v toward w in copy one and the coupled move in copy two.
+
+    Copy two gets the identical move in phase 1, which also covers a
+    coalesced pair, and the move mirrored through the a <-> b swap in
+    phase 2; then the pairing is checked if asked and the markers settle.
+    """
+    state.events += 1
+    _apply_move(state.one, v, w)
+    if state.phase == 2:
+        a, b = state.a, state.b
+        v = b if v == a else a if v == b else v
+        w = b if w == a else a if w == b else w
+    _apply_move(state.two, v, w)
+    if state.check_invariants:
+        _assert_pairing(state)
+    _settle(state)
+
+
 def init_coupling(
     eta0,
     seed: int,
@@ -247,18 +262,7 @@ def advance(state: CoupledState, draw: EventDraw) -> CoupledState:
     if not (0 <= v < state.n and 0 <= w < state.n) or v == w:
         raise ValueError("draw must fire one vertex toward a different one")
     state.clock += draw.dt
-    state.events += 1
-    _apply_move(state.one, v, w)
-    if state.phase == 1:
-        _apply_move(state.two, v, w)
-    else:
-        a, b = state.a, state.b
-        sv = b if v == a else a if v == b else v
-        sw = b if w == a else a if w == b else w
-        _apply_move(state.two, sv, sw)
-    if state.check_invariants:
-        _assert_pairing(state)
-    _settle(state)
+    _step(state, v, w)
     return state
 
 
@@ -336,21 +340,7 @@ def run_to_coalescence(
         if state.coalesced and not pending:
             break
         state.clock = t_next
-        state.events += 1
-        _apply_move(state.one, v, w)
-        if state.coalesced:
-            _apply_move(state.two, v, w)
-        else:
-            if state.phase == 1:
-                _apply_move(state.two, v, w)
-            else:
-                a, b = state.a, state.b
-                sv = b if v == a else a if v == b else v
-                sw = b if w == a else a if w == b else w
-                _apply_move(state.two, sv, sw)
-            if check_invariants:
-                _assert_pairing(state)
-            _settle(state)
+        _step(state, v, w)
 
     censored = not state.coalesced
     return CouplingRun(

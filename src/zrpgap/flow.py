@@ -52,6 +52,7 @@ class EdgeLoadReport:
     max_undirected: Fraction
     uniform: bool
     bound: int
+    max_distance: int  # the graph diameter, from the same BFS
 
     def as_dict(self) -> dict:
         return {
@@ -116,6 +117,7 @@ def edge_loads(graph: Torus) -> EdgeLoadReport:
         max_undirected=max(values),
         uniform=uniform,
         bound=graph.L * (n - 1),
+        max_distance=max(max(row) for row in dists),
     )
 
 
@@ -170,8 +172,7 @@ def comparison_certificate(
         loads = edge_loads(graph)
     n = graph.vertex_count
     congestion = loads.max_undirected / (n - 1)
-    dists, _ = _all_pairs(graph)
-    length = max(max(row) for row in dists)
+    length = loads.max_distance
     bound_factor = 2 * graph.d * congestion * length
     headline = 2 * graph.d * graph.d * graph.L * graph.L
     tau1_bound = float(bound_factor) * tau2 if tau2 is not None else None

@@ -17,7 +17,9 @@ reversed chain, low particles hop only to empty vertices, which removes the
 big upward occupancy jumps that make the forward hitting time hard to
 control; the survival law of the hitting time of the balanced set is the
 same under both directions when started from pi, and that identity is
-verified here by exact absorbed-chain uniformization.
+verified here by uniformization: pi restricted to the states off the
+balanced set evolves forward under each direction's sub-generator there,
+and the mass left in that block is the survival probability.
 
 The reversed dynamics also admits an attempt form: each ordered pair (v, w)
 attempts a move at rate ((eta(w)+1)/(high(w)+1)) / (n-1); the attempt fails
@@ -36,23 +38,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import stats as sps
+from scipy import sparse
 
 from .configurations import enumerate_configurations
 from .errors import CapacityError
 from .seeding import derive_seed, make_generator
+from .spectral import UNIFORMIZATION_TAIL, _uniformize
 from .stats import MCEstimate
 
 MERGED = "merged"
 
 DEFAULT_MAX_CHAIN_STATES = 20_000
-
-
-def _chi(n, *vertices):
-    occ = [0] * n
-    for v in vertices:
-        occ[v] += 1
-    return occ
 
 
 @dataclass
@@ -105,19 +101,53 @@ class TaggedPairChain:
         }
 
 
-def tagged_states(n: int, high_count: int):
-    """All (eta, s, t) states: tags on distinct vertices, highs anywhere."""
-    out = []
+def _tagged_space(n: int, high_count: int, max_states: int):
+    """States (merged first), their index, and the integer weights pi.
+
+    Proper states are (eta, s, t): tags on distinct vertices, highs
+    anywhere, n (n-1) C(n+j-1, j) of them; the count is checked against
+    ``max_states`` before any state is built.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if high_count < 0:
+        raise ValueError("high_count must be non-negative")
+    size = n * (n - 1) * math.comb(n + high_count - 1, high_count) + 1
+    if size > max_states:
+        raise CapacityError(f"{size} chain states exceed the limit {max_states}")
+    highs = enumerate_configurations(n, high_count, limit=max_states)
+    states = [MERGED]
     for s in range(n):
         for t in range(n):
             if s == t:
                 continue
-            for high in enumerate_configurations(n, high_count):
-                eta = _chi(n, s, t)
-                for v, k in enumerate(high):
-                    eta[v] += k
-                out.append((tuple(eta), s, t))
-    return out
+            for high in highs:
+                eta = list(high)
+                eta[s] += 1
+                eta[t] += 1
+                states.append((tuple(eta), s, t))
+    index = {state: i for i, state in enumerate(states)}
+    pi = tuple(
+        1 if state == MERGED else state[0][state[1]] * state[0][state[2]]
+        for state in states
+    )
+    return states, index, pi
+
+
+def _highs(state) -> list[int]:
+    """High-particle count per vertex: the occupancy minus the two tags."""
+    eta, s, t = state
+    high = list(eta)
+    high[s] -= 1
+    high[t] -= 1
+    return high
+
+
+def _moved(eta, v: int, w: int) -> tuple[int, ...]:
+    moved = list(eta)
+    moved[v] -= 1
+    moved[w] += 1
+    return tuple(moved)
 
 
 def build_tagged_pair_chain(
@@ -135,36 +165,21 @@ def build_tagged_pair_chain(
     2/(n-1) regardless of its tagged occupancies, because both tag moves
     between singly occupied tagged vertices land in the merged class).
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if high_count < 0:
-        raise ValueError("high_count must be non-negative")
-    states = tagged_states(n, high_count)
-    if len(states) + 1 > max_states:
-        raise CapacityError(
-            f"{len(states) + 1} chain states exceed the limit {max_states}"
-        )
-    states = [MERGED] + states
-    index = {s: i for i, s in enumerate(states)}
+    states, index, pi = _tagged_space(n, high_count, max_states)
     unit = Fraction(1, n - 1)
     rates = [dict() for _ in states]
 
-    for i, state in enumerate(states):
-        if state == MERGED:
-            continue
+    for i, state in enumerate(states[1:], start=1):
         eta, s, t = state
+        high = _highs(state)
         for v in range(n):
             if eta[v] == 0:
                 continue
-            high_here = eta[v] - (1 if v == s else 0) - (1 if v == t else 0)
             for w in range(n):
                 if w == v:
                     continue
-                moved = list(eta)
-                moved[v] -= 1
-                moved[w] += 1
-                moved = tuple(moved)
-                if high_here > 0:
+                moved = _moved(eta, v, w)
+                if high[v] > 0:
                     target = (moved, s, t)
                 elif v == s:
                     target = MERGED if w == t else (moved, w, t)
@@ -175,16 +190,7 @@ def build_tagged_pair_chain(
 
     # designed exit rates from the merged state (forced by stationarity of
     # the product weights; see the docstring)
-    merged_row = rates[0]
-    for i, state in enumerate(states):
-        if state == MERGED:
-            continue
-        merged_row[i] = 2 * unit
-
-    pi = tuple(
-        1 if state == MERGED else state[0][state[1]] * state[0][state[2]]
-        for state in states
-    )
+    rates[0] = {i: 2 * unit for i in range(1, len(states))}
     return TaggedPairChain(
         n=n,
         high_count=high_count,
@@ -251,48 +257,36 @@ def reversed_attempt_rates(n: int, high_count: int) -> TaggedPairChain:
     high particles always, tagged ones only onto empty vertices.  Used as an
     independent construction to cross-check :func:`reverse_chain`.
     """
-    base = tagged_states(n, high_count)
-    states = [MERGED] + base
-    index = {s: i for i, s in enumerate(states)}
+    states, index, pi = _tagged_space(n, high_count, DEFAULT_MAX_CHAIN_STATES)
     rates = [dict() for _ in states]
-    for state in base:
+    for i, state in enumerate(states[1:], start=1):
         eta, s, t = state
-        i = index[state]
+        high = _highs(state)
         for v in range(n):
             if eta[v] == 0:
                 continue
-            high_v = eta[v] - (1 if v == s else 0) - (1 if v == t else 0)
             for w in range(n):
                 if w == v:
                     continue
-                high_w = eta[w] - (1 if w == s else 0) - (1 if w == t else 0)
-                attempt = Fraction(eta[w] + 1, (high_w + 1) * (n - 1))
-                moved = list(eta)
-                moved[v] -= 1
-                moved[w] += 1
-                moved = tuple(moved)
-                if high_v > 0:
-                    share = Fraction(high_v, eta[v])
-                    target = (moved, s, t)
-                    rates[i][index[target]] = (
-                        rates[i].get(index[target], Fraction(0)) + attempt * share
-                    )
+                attempt = Fraction(eta[w] + 1, (high[w] + 1) * (n - 1))
+                moved = _moved(eta, v, w)
+                if high[v] > 0:
+                    share = Fraction(high[v], eta[v])
+                    j = index[(moved, s, t)]
+                    rates[i][j] = rates[i].get(j, Fraction(0)) + attempt * share
                 if v in (s, t):
                     # the tag at v moves with probability 1/eta(v), onto empty w
                     if eta[w] == 0:
                         share = Fraction(1, eta[v])
                         target = (moved, w, t) if v == s else (moved, s, w)
-                        rates[i][index[target]] = (
-                            rates[i].get(index[target], Fraction(0)) + attempt * share
-                        )
+                        j = index[target]
+                        rates[i][j] = rates[i].get(j, Fraction(0)) + attempt * share
     return TaggedPairChain(
         n=n,
         high_count=high_count,
         states=tuple(states),
         rates=tuple(rates),
-        pi=tuple(
-            1 if s == MERGED else s[0][s[1]] * s[0][s[2]] for s in states
-        ),
+        pi=pi,
         kind="reversed_nomerge",
     )
 
@@ -323,9 +317,9 @@ def reversed_rate_bounds_hold(n: int, high_count: int) -> bool:
         eta, s, t = state
         if eta[s] == eta[t]:
             continue
+        high = _highs(state)
         for v in range(n):
-            high_v = eta[v] - (1 if v == s else 0) - (1 if v == t else 0)
-            attempt_in = Fraction(eta[v] + 1, high_v + 1)
+            attempt_in = Fraction(eta[v] + 1, high[v] + 1)
             if eta[v] > 0 and attempt_in > 1 + Fraction(1, eta[v]):
                 return False
             if eta[v] == 0:
@@ -460,7 +454,7 @@ def simulate_reversed_hitting(
     events = 0
     stop = min(horizon, t_ref) if t_ref is not None else horizon
     hit = False
-    high = [eta[v] - (1 if v == s else 0) - (1 if v == t else 0) for v in range(n)]
+    high = _highs(state)
 
     while True:
         weights = [(eta[w] + 1) / (high[w] + 1) for w in range(n)]
@@ -618,36 +612,20 @@ def drift_check(
 # Exact transient agreement between forward and reversed hitting laws
 # ---------------------------------------------------------------------------
 
-def _absorbed_survival(chain: TaggedPairChain, keep, start_mass, times, tol=1e-12):
-    """P(not yet absorbed by each time) by uniformization on the kept block."""
-    pos = {i: k for k, i in enumerate(keep)}
-    dim = len(keep)
-    times = np.asarray(times, dtype=float)
-    if dim == 0:
-        return np.zeros(times.size)
-    q = np.zeros((dim, dim))
-    for i in keep:
-        row = chain.rates[i]
-        exit_rate = float(sum(row.values(), Fraction(0)))
-        q[pos[i], pos[i]] = -exit_rate
-        for j, rate in row.items():
-            if j in pos:
-                q[pos[i], pos[j]] += float(rate)
-    lam = float(max(-q[k, k] for k in range(dim)))
-    start = np.asarray([start_mass[i] for i in keep], dtype=float)
-    if lam <= 0:
-        return np.full(times.size, start.sum())
-    kernel = np.eye(dim) + q / lam
-    kmax = int(sps.poisson.isf(tol, lam * float(times.max()))) + 1
-    weights = sps.poisson.pmf(np.arange(kmax + 1)[:, None], lam * times[None, :])
-    ones = np.ones(dim)
-    out = np.zeros(times.size)
-    vec = ones
-    for k in range(kmax + 1):
-        out += weights[k] * float(start @ vec)
-        if k < kmax:
-            vec = kernel @ vec
-    return out
+def _float_rates(chain: TaggedPairChain) -> sparse.csr_matrix:
+    """The off-diagonal rates as a float CSR matrix, column indices sorted."""
+    indptr = [0]
+    indices = []
+    data = []
+    for row in chain.rates:
+        for j in sorted(row):
+            indices.append(j)
+            data.append(float(row[j]))
+        indptr.append(len(indices))
+    return sparse.csr_matrix(
+        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr)),
+        shape=(chain.size, chain.size),
+    )
 
 
 @dataclass(frozen=True)
@@ -677,15 +655,22 @@ def survival_agreement(chain: TaggedPairChain, times, max_states: int = 4000) ->
         raise CapacityError(f"{chain.size} states exceed the limit {max_states}")
     absorbed = set(balanced_states(chain))
     keep = [i for i in range(chain.size) if i not in absorbed]
-    total = float(sum(chain.pi))
-    start = [p / total for p in chain.pi]
-    fwd = _absorbed_survival(chain, keep, start, times)
-    rev = _absorbed_survival(reverse_chain(chain), keep, start, times)
+    times = np.asarray(times, dtype=float)
+    pi = np.asarray(chain.pi, dtype=float)
+    start = pi[keep] / pi.sum()
+    curves = []
+    for direction in (chain, reverse_chain(chain)):
+        rates = _float_rates(direction)
+        generator = rates - sparse.diags(np.asarray(rates.sum(axis=1)).ravel())
+        block = generator[keep][:, keep]
+        mass = _uniformize(block, start, times, UNIFORMIZATION_TAIL, 1_000_000)
+        curves.append(mass.sum(axis=1))
+    fwd, rev = curves
     return SurvivalAgreement(
         times=tuple(float(t) for t in times),
         forward=tuple(float(x) for x in fwd),
         backward=tuple(float(x) for x in rev),
-        sup_difference=float(np.max(np.abs(fwd - rev))) if len(times) else 0.0,
+        sup_difference=float(np.max(np.abs(fwd - rev))) if times.size else 0.0,
     )
 
 
@@ -693,10 +678,19 @@ def survival_agreement(chain: TaggedPairChain, times, max_states: int = 4000) ->
 # Occupation-time events under reversal: Monte Carlo inequality check
 # ---------------------------------------------------------------------------
 
-def _simulate_occupation(chain: TaggedPairChain, start_idx: int, x_idx: int,
+def _jump_rows(rates: sparse.csr_matrix) -> list:
+    """Per state: total exit rate, targets and cumulative target rates."""
+    rows = []
+    for i in range(rates.shape[0]):
+        lo, hi = rates.indptr[i], rates.indptr[i + 1]
+        cum = np.cumsum(rates.data[lo:hi]).tolist()
+        rows.append((cum[-1] if cum else 0.0, rates.indices[lo:hi].tolist(), cum))
+    return rows
+
+
+def _simulate_occupation(rows: list, start_idx: int, x_idx: int,
                          horizon: float, rng) -> float:
     """Occupation time of one state up to the horizon, one trajectory."""
-    rows = chain._sim_rows
     state = start_idx
     clock = 0.0
     occupied = 0.0
@@ -716,17 +710,6 @@ def _simulate_occupation(chain: TaggedPairChain, start_idx: int, x_idx: int,
         u = rng.random() * total
         state = targets[bisect.bisect_right(cum, u)]
     return occupied
-
-
-def _prepare_sim_rows(chain: TaggedPairChain):
-    rows = []
-    for row in chain.rates:
-        targets = sorted(row)
-        vals = [float(row[j]) for j in targets]
-        cum = list(np.cumsum(vals))
-        total = cum[-1] if cum else 0.0
-        rows.append((total, targets, cum))
-    chain._sim_rows = rows
 
 
 @dataclass(frozen=True)
@@ -765,41 +748,31 @@ def occupation_time_inequality(
         raise ValueError("need at least 1000 replicas for a meaningful check")
     x_idx = chain.state_index(x_state)
     y_idx = chain.state_index(start_state)
-    _prepare_sim_rows(chain)
+    rows = _jump_rows(_float_rates(chain))
     rng = make_generator(derive_seed(seed, 1))
     hits = sum(
-        _simulate_occupation(chain, y_idx, x_idx, horizon, rng) >= threshold
+        _simulate_occupation(rows, y_idx, x_idx, horizon, rng) >= threshold
         for _ in range(replicas)
     )
-    p_fwd = hits / replicas
-    se_fwd = math.sqrt(max(p_fwd * (1 - p_fwd), 1e-300) / replicas)
-    forward = MCEstimate(
-        p_fwd, se_fwd, p_fwd - 1.96 * se_fwd, p_fwd + 1.96 * se_fwd, replicas, seed
-    )
+    forward = MCEstimate.binomial(hits, replicas, seed)
 
-    rev = reverse_chain(chain)
-    _prepare_sim_rows(rev)
-    best = -1.0
-    best_se = 0.0
+    rev_rows = _jump_rows(_float_rates(reverse_chain(chain)))
+    reversed_max = None
     per_start = max(replicas // chain.size, 200)
     for z_idx in range(chain.size):
         rng_z = make_generator(derive_seed(seed, 100 + z_idx))
         hits_z = sum(
-            _simulate_occupation(rev, z_idx, x_idx, horizon, rng_z) >= threshold
+            _simulate_occupation(rev_rows, z_idx, x_idx, horizon, rng_z) >= threshold
             for _ in range(per_start)
         )
-        p_z = hits_z / per_start
-        if p_z > best:
-            best = p_z
-            best_se = math.sqrt(max(p_z * (1 - p_z), 1e-300) / per_start)
-    reversed_max = MCEstimate(
-        best, best_se, best - 1.96 * best_se, best + 1.96 * best_se, per_start, seed
-    )
+        estimate = MCEstimate.binomial(hits_z, per_start, seed)
+        if reversed_max is None or estimate.value > reversed_max.value:
+            reversed_max = estimate
 
     pis = [float(p) for p in chain.pi]
     constant = chain.size * max(pis) / min(pis)
-    slack = 2.0 * (se_fwd + constant * best_se)
-    holds = p_fwd <= constant * best + slack
+    slack = 2.0 * (forward.stderr + constant * reversed_max.stderr)
+    holds = forward.value <= constant * reversed_max.value + slack
     return OccupationReversalReport(
         forward=forward,
         reversed_max=reversed_max,

@@ -207,6 +207,39 @@ def exact_gap(gen: Generator, method: str = "auto") -> SpectralReport:
 # Transient analysis by uniformization
 # ---------------------------------------------------------------------------
 
+def _uniformize(matrix, start_vector, times, tail_tol, max_terms) -> np.ndarray:
+    """Row vector ``start_vector @ exp(t Q)`` at each time, ``Q = matrix``.
+
+    Uniformization: with rate Lambda = max exit rate (the largest -Q(x, x)),
+    the continuous-time law is the Poisson(Lambda*t) mixture of powers of
+    the discrete kernel I + Q/Lambda.  The series is
+    truncated once the remaining Poisson mass drops below ``tail_tol``.  A
+    sub-generator (rows summing to at most zero) evolves the mass that has
+    not yet left its block.
+    """
+    dim = matrix.shape[0]
+    lam = float(-matrix.diagonal().min()) if dim else 0.0
+    out = np.zeros((times.size, dim))
+    if lam <= 0.0:
+        out[:] = start_vector
+        return out
+    kernel = sparse.identity(dim, format="csr") + matrix / lam
+    kmax = int(sps.poisson.isf(tail_tol, lam * float(times.max()))) + 1
+    if kmax > max_terms:
+        raise CapacityError(
+            f"uniformization needs {kmax} terms, exceeding the {max_terms} budget"
+        )
+    weights = sps.poisson.pmf(
+        np.arange(kmax + 1)[:, None], lam * times[None, :]
+    )
+    mu = np.array(start_vector, dtype=float)
+    for k in range(kmax + 1):
+        out += weights[k][:, None] * mu[None, :]
+        if k < kmax:
+            mu = kernel.T @ mu
+    return out
+
+
 def transient_distribution(
     gen: Generator,
     start,
@@ -216,39 +249,16 @@ def transient_distribution(
 ) -> np.ndarray:
     """Distribution at each requested time from a point start.
 
-    Uniformization: with rate Lambda = max exit rate, the continuous-time
-    law is the Poisson(Lambda*t) mixture of powers of the discrete kernel
-    I + Q/Lambda.  The series is truncated once the remaining Poisson mass
-    drops below ``tail_tol`` (the result is left unnormalized, biasing each
-    probability by at most that much).
+    Computed by uniformization; the result is left unnormalized, biasing
+    each probability by at most ``tail_tol``.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ValueError("times must be non-negative")
     start_idx = start if isinstance(start, int) else gen.config_index(start)
-    dim = gen.dimension
-    exit_rates = -gen.matrix.diagonal()
-    lam = float(exit_rates.max()) if dim else 0.0
-    out = np.zeros((times.size, dim))
-    if lam <= 0.0:
-        out[:, start_idx] = 1.0
-        return out
-    kernel = sparse.identity(dim, format="csr") + gen.matrix / lam
-    kmax = int(sps.poisson.isf(tail_tol, lam * float(times.max()))) + 1
-    if kmax > max_terms:
-        raise CapacityError(
-            f"uniformization needs {kmax} terms, exceeding the {max_terms} budget"
-        )
-    weights = sps.poisson.pmf(
-        np.arange(kmax + 1)[:, None], lam * times[None, :]
-    )
-    mu = np.zeros(dim)
-    mu[start_idx] = 1.0
-    for k in range(kmax + 1):
-        out += weights[k][:, None] * mu[None, :]
-        if k < kmax:
-            mu = kernel.T @ mu
-    return out
+    point = np.zeros(gen.dimension)
+    point[start_idx] = 1.0
+    return _uniformize(gen.matrix, point, times, tail_tol, max_terms)
 
 
 @dataclass(frozen=True)
@@ -406,13 +416,17 @@ def _linear_statistic_variance(graph: GraphSpec, r: int, phi: np.ndarray) -> flo
     return var_site * sum_sq + cov * (total * total - sum_sq)
 
 
-def _profile_dirichlet_sum(graph: GraphSpec, phi: np.ndarray) -> float:
-    total = 0.0
+def _vertex_dirichlet_terms(graph: GraphSpec, phi: np.ndarray) -> np.ndarray:
+    """Per-vertex share sum_w (phi(w) - phi(v))^2 / (2 degree) of the
+    Dirichlet sum; vertex v's share counts only while v is occupied."""
+    terms = np.zeros(graph.vertex_count)
     for v in range(graph.vertex_count):
+        acc = 0.0
         for w in graph.neighbors(v):
             diff = phi[w] - phi[v]
-            total += diff * diff
-    return total / (2.0 * graph.degree)
+            acc += diff * diff
+        terms[v] = acc / (2.0 * graph.degree)
+    return terms
 
 
 def wilson_bound(
@@ -448,7 +462,7 @@ def wilson_bound(
 
     if mode == "closed_form":
         occupied = float(1 - empty_probability_exact(n, r))
-        dirichlet = occupied * _profile_dirichlet_sum(graph, phi)
+        dirichlet = occupied * float(_vertex_dirichlet_terms(graph, phi).sum())
         variance = _linear_statistic_variance(graph, r, phi)
         if variance <= 1e-300:
             raise ValueError("zero-variance test function")
@@ -458,13 +472,7 @@ def wilson_bound(
         if seed is None:
             raise ValueError("monte_carlo mode needs a seed")
         rng = make_generator(seed)
-        per_vertex = np.zeros(n)
-        for v in range(n):
-            acc = 0.0
-            for w in graph.neighbors(v):
-                diff = phi[w] - phi[v]
-                acc += diff * diff
-            per_vertex[v] = acc / (2.0 * graph.degree)
+        per_vertex = _vertex_dirichlet_terms(graph, phi)
         dir_samples = np.empty(samples)
         f_samples = np.empty(samples)
         for i in range(samples):

@@ -330,6 +330,13 @@ class MCEstimate:
     replicas: int
     seed: int
 
+    @classmethod
+    def binomial(cls, hits: int, replicas: int, seed: int) -> "MCEstimate":
+        """Hit frequency, its binomial standard error and normal 95% interval."""
+        p = hits / replicas
+        se = math.sqrt(max(p * (1.0 - p), 1e-300) / replicas)
+        return cls(p, se, p - 1.96 * se, p + 1.96 * se, replicas, seed)
+
     def as_dict(self) -> dict:
         return {
             "value": self.value,
@@ -368,16 +375,7 @@ def rw_no_return_probability(r: float, replicas: int, seed: int) -> MCEstimate:
         keep = ~dead & ~done
         pos = pos[keep] + step[keep]
         last_t = next_t[keep]
-    p = survived / replicas
-    se = math.sqrt(max(p * (1.0 - p), 1e-300) / replicas)
-    return MCEstimate(
-        value=p,
-        stderr=se,
-        ci_low=p - 1.96 * se,
-        ci_high=p + 1.96 * se,
-        replicas=replicas,
-        seed=seed,
-    )
+    return MCEstimate.binomial(survived, replicas, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,35 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert code == 1
 
 
+def test_config_values_go_through_flag_types(tmp_path, capsys):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps({"L": "5", "rho": 1}))
+    code, _ = run_cli(["exact-gap", "--config", str(cfg)], tmp_path, "typed")
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["r"] == 5 and payload["dimension"] == 126
+
+    for value in ("five", 5.5, True):
+        bad = tmp_path / "bad_value.json"
+        bad.write_text(json.dumps({"L": value, "rho": 1}))
+        code, _ = run_cli(["exact-gap", "--config", str(bad)], tmp_path, "bad_value")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--L" in err and "Traceback" not in err
+
+
+def test_config_supplies_required_flag(tmp_path):
+    cfg = tmp_path / "flow.json"
+    cfg.write_text(json.dumps({"L": 4}))
+    code, out = run_cli(["flow", "--config", str(cfg)], tmp_path, "from_config")
+    assert code == 0
+    assert (out / "flow.csv").read_text().splitlines()[1] == "1,4,4/3,2,16/3,32"
+
+    code, out = run_cli(["flow", "--config", str(cfg), "--L", "3"], tmp_path, "flag_wins")
+    assert code == 0
+    assert (out / "flow.csv").read_text().splitlines()[1].startswith("1,3,")
+
+
 def test_default_outdir_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ZRPGAP_OUT", str(tmp_path / "envdir"))
     monkeypatch.chdir(tmp_path)

@@ -6,7 +6,6 @@ import pytest
 from scipy import stats as sps
 
 from zrpgap.configurations import (
-    RankedState,
     configuration_count,
     enumerate_configurations,
     random_configuration,
@@ -140,13 +139,3 @@ def test_random_configuration_edge_cases():
     rng = make_generator(1)
     assert random_configuration(4, 0, rng) == (0, 0, 0, 0)
     assert random_configuration(1, 7, rng) == (7,)
-
-
-def test_ranked_state():
-    state = RankedState.from_configuration((2, 0, 1))
-    assert state.positions == (0, 0, 2)
-    assert state.occupancy(3) == (2, 0, 1)
-    assert state.prefix_occupancy(3, 1) == (1, 0, 0)
-    assert state.prefix_occupancy(3, 2) == (2, 0, 0)
-    with pytest.raises(ValueError):
-        state.prefix_occupancy(3, 4)

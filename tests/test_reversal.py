@@ -4,8 +4,11 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.linalg import expm
 
 from zrpgap.errors import CapacityError
+from zrpgap.graphs import Complete
 from zrpgap.reversal import (
     MERGED,
     DriftParams,
@@ -21,6 +24,7 @@ from zrpgap.reversal import (
     simulate_reversed_hitting,
     survival_agreement,
 )
+from zrpgap.spectral import _uniformize, build_generator, transient_distribution
 from zrpgap.stats import fit_exponential_tail
 
 
@@ -108,6 +112,12 @@ def test_capacity_guard():
         build_tagged_pair_chain(10, 8, max_states=500)
 
 
+def test_attempt_rates_capacity_guard():
+    # 2,187,901 states against the default limit, refused before enumeration
+    with pytest.raises(CapacityError):
+        reversed_attempt_rates(10, 8)
+
+
 def test_drift_parameter_values():
     params = DriftParams(density=0.0, c_const=32.0)  # scale 64*1/32 = 2
     assert params.scale == pytest.approx(2.0)
@@ -172,6 +182,64 @@ def test_forward_reversed_survival_agreement(n, j):
     chain = build_tagged_pair_chain(n, j)
     agreement = survival_agreement(chain, [0.5, 1.0, 2.0])
     assert agreement.sup_difference <= 1e-10
+
+
+def dense_generator(chain):
+    """The generator filled densely from the exact rates."""
+    q = np.zeros((chain.size, chain.size))
+    for i, row in enumerate(chain.rates):
+        q[i, i] = -float(chain.exit_rate(i))
+        for j, rate in row.items():
+            q[i, j] += float(rate)
+    return q
+
+
+def expm_survival(chain, times):
+    """Reference survival: pi on the non-balanced block times
+    expm(t Q_block), summed."""
+    absorbed = set(balanced_states(chain))
+    keep = [i for i in range(chain.size) if i not in absorbed]
+    q = dense_generator(chain)[np.ix_(keep, keep)]
+    start = np.array([chain.pi[i] for i in keep], dtype=float) / sum(chain.pi)
+    return np.array([(start @ expm(t * q)).sum() for t in times])
+
+
+EXPM_TIMES = [0.0, 0.5, 1.0, 2.0, 4.0]
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param((3, 1), id="survival-3-1"),
+    pytest.param((4, 1), id="survival-4-1"),
+    "complete-3-r2",
+    "point-start-3-1",
+])
+def test_uniformization_matches_expm(case):
+    if case == "complete-3-r2":
+        gen = build_generator(Complete(3), 2)
+        start = gen.config_index((2, 0, 0))
+        dists = transient_distribution(gen, start, EXPM_TIMES)
+        dense = gen.matrix.toarray()
+        expected = np.array([expm(t * dense)[start] for t in EXPM_TIMES])
+        assert np.abs(dists - expected).max() <= 1e-12
+        return
+    if case == "point-start-3-1":
+        # the generators above are symmetric, and from pi the forward and
+        # reversed survival curves coincide, so neither sees a transposed
+        # kernel; a point start on the non-symmetric tagged chain does
+        dense = dense_generator(build_tagged_pair_chain(3, 1))
+        point = np.zeros(len(dense))
+        point[5] = 1.0
+        laws = _uniformize(sparse.csr_matrix(dense), point, np.array(EXPM_TIMES), 1e-14, 10_000)
+        expected = np.array([expm(t * dense)[5] for t in EXPM_TIMES])
+        assert np.abs(laws - expected).max() <= 1e-12
+        return
+    chain = build_tagged_pair_chain(*case)
+    agreement = survival_agreement(chain, EXPM_TIMES)
+    forward = expm_survival(chain, EXPM_TIMES)
+    backward = expm_survival(reverse_chain(chain), EXPM_TIMES)
+    assert forward[-1] > 1e-3  # the curves are not trivially zero
+    assert np.abs(np.array(agreement.forward) - forward).max() <= 1e-12
+    assert np.abs(np.array(agreement.backward) - backward).max() <= 1e-12
 
 
 def test_survival_at_time_zero_is_mass_outside_hitting_set():
