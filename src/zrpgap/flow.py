@@ -11,12 +11,17 @@ L^d - 1 and length is the longest flow-carrying path, bounded by the
 diameter <= dL.  All loads are exact rationals: the flow share of a
 directed edge (a, b) for the pair (u, v) is N(u,a) N(b,v) / N(u,v) in
 shortest-path counts, so no path enumeration is needed for the loads
-themselves.  The configuration-level check below *does* enumerate paths, as
-an independent route to the same numbers.
+themselves.  Summed over targets v, these shares obey a per-source backward
+recursion over the shortest-path DAG of u (Brandes, J. Math. Sociol. 25,
+2001), so each source costs one BFS plus one pass over the edges, all in
+integer numerators over a common denominator.  The configuration-level
+check below *does* enumerate paths, as an independent route to the same
+numbers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,20 +94,39 @@ def edge_loads(graph: Torus) -> EdgeLoadReport:
     """
     if not isinstance(graph, Torus):
         raise ValueError("edge loads are defined for the torus family")
+    return _edge_loads(graph, *_all_pairs(graph))
+
+
+def _edge_loads(graph: Torus, dists, counts) -> EdgeLoadReport:
+    """:func:`edge_loads` from an all-pairs BFS already run.
+
+    With M the lcm of all path counts, the source u contributes
+    N(u,a) * D_u(b) / M to edge (a, b) when b is one step further from u
+    than a, where D_u(b) = M * sum_v N(b,v) / N(u,v) over the v reached from
+    u through b, and D_u(b) = M / N(u,b) + sum of D_u(c) over the
+    neighbors c one step further out (repeats included, so parallel edges
+    of an L = 2 torus count once each).  Every directed edge is summed on
+    its own, so the uniformity check below stays a real check.
+    """
     n = graph.vertex_count
-    dists, counts = _all_pairs(graph)
-    directed = {}
-    for a, b in _directed_edges(graph):
-        load = Fraction(0)
-        for u in range(n):
-            du = dists[u]
-            cu = counts[u]
-            for v in range(n):
-                if u == v:
-                    continue
-                if du[a] + 1 + dists[b][v] == du[v]:
-                    load += Fraction(cu[a] * counts[b][v], cu[v])
-        directed[(a, b)] = load
+    neighbors = [graph.neighbors(x) for x in range(n)]
+    edges = _directed_edges(graph)
+    common = math.lcm(*(c for row in counts for c in row))
+    numerators = [0] * len(edges)
+    below = [0] * n
+    for du, cu in zip(dists, counts):
+        # the source's own entry is never read: no edge leads into it
+        for b in sorted(range(n), key=du.__getitem__, reverse=True):
+            step = du[b] + 1
+            acc = common // cu[b]
+            for c in neighbors[b]:
+                if du[c] == step:
+                    acc += below[c]
+            below[b] = acc
+        for k, (a, b) in enumerate(edges):
+            if du[b] == du[a] + 1:
+                numerators[k] += cu[a] * below[b]
+    directed = {edge: Fraction(num, common) for edge, num in zip(edges, numerators)}
     undirected = {}
     for (a, b), load in directed.items():
         if a < b:
@@ -243,6 +267,14 @@ def induced_flow_check(graph: Torus, r: int, max_states: int = 50_000) -> Induce
     u->v vertex path (zeta = eta with the moving particle removed), with the
     unit split evenly over paths.  The resulting per-configuration-edge flow
     must exactly equal the vertex-level directed edge load, for every edge.
+    On an L = 2 torus a vertex path stands for the product of its edge
+    multiplicities in parallel-edge paths, and its share on (a, b) is split
+    over the mult(a, b) parallel copies, as the per-copy vertex load is.
+
+    Flows are integer numerators over M, the lcm of the path counts
+    N(u, v).  The configuration edge a step (a, b) is lifted to depends on
+    zeta but not on the target v, so each source's paths are first collapsed
+    into one numerator per vertex edge.
     """
     if r < 1:
         raise ValueError("need at least one particle")
@@ -253,42 +285,49 @@ def induced_flow_check(graph: Torus, r: int, max_states: int = 50_000) -> Induce
     if pair_count > 2_000_000:
         raise CapacityError(f"{pair_count} routed pairs exceed the capacity limit")
     dists, counts = _all_pairs(graph)
+    common = math.lcm(*(c for row in counts for c in row))
+    mult = {(a, b): graph.neighbors(a).count(b) for a, b in _directed_edges(graph)}
 
-    flows: dict[tuple[int, int], Fraction] = {}
-    path_cache: dict[tuple[int, int], list] = {}
+    routed = []  # per source u: (vertex edge, flow numerator summed over targets)
+    for u in range(n):
+        shares: dict[tuple[int, int], int] = {}
+        for v in range(n):
+            if v == u:
+                continue
+            weight = common // counts[u][v]
+            for path in all_shortest_paths(graph, u, v, dists):
+                steps = list(zip(path, path[1:]))
+                copies = math.prod(mult[e] for e in steps)
+                for e in steps:
+                    shares[e] = shares.get(e, 0) + weight * (copies // mult[e])
+        routed.append(list(shares.items()))
+
+    flows: dict[tuple[int, int], int] = {}
     for occ in configs:
         for u in range(n):
             if occ[u] == 0:
                 continue
             base = list(occ)
             base[u] -= 1
-            for v in range(n):
-                if v == u:
-                    continue
-                key = (u, v)
-                if key not in path_cache:
-                    path_cache[key] = all_shortest_paths(graph, u, v, dists)
-                paths = path_cache[key]
-                share = Fraction(1, len(paths))
-                for path in paths:
-                    for a, b in zip(path, path[1:]):
-                        za = list(base)
-                        za[a] += 1
-                        zb = list(base)
-                        zb[b] += 1
-                        edge = (index[tuple(za)], index[tuple(zb)])
-                        flows[edge] = flows.get(edge, Fraction(0)) + share
+            lifted = []  # lifted[w]: index of the configuration zeta + chi_w
+            for w in range(n):
+                base[w] += 1
+                lifted.append(index[tuple(base)])
+                base[w] -= 1
+            for (a, b), share in routed[u]:
+                edge = (lifted[a], lifted[b])
+                flows[edge] = flows.get(edge, 0) + share
 
-    loads = edge_loads(graph)
+    loads = _edge_loads(graph, dists, counts)
+    targets = {edge: load * common for edge, load in loads.directed.items()}
     per_edge_equal = True
-    max_flow = Fraction(0)
     for (i, k), flow in flows.items():
         diff = [x - y for x, y in zip(configs[k], configs[i])]
         a = diff.index(-1)
         b = diff.index(1)
-        if flow != loads.directed[(a, b)]:
+        if flow != targets[(a, b)]:
             per_edge_equal = False
-        max_flow = max(max_flow, flow)
+    max_flow = Fraction(max(flows.values()), common)
 
     return InducedFlowCheck(
         graph=graph,

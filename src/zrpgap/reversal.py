@@ -11,6 +11,10 @@ exit rates are *designed* so that the weights
     pi(merged) = 1,      pi(eta, s, t) = eta(s) * eta(t)
 
 solve the full balance equations exactly (checked in rational arithmetic).
+Rates are built as integer numerators (move counts or closed-form
+products) and become a ``Fraction`` once, at the end, equal values sharing
+one object; the balance and rate-bound checks sum integer numerators over
+a common denominator.
 
 With stationary weights in hand the chain can be time-reversed.  In the
 reversed chain, low particles hop only to empty vertices, which removes the
@@ -33,6 +37,7 @@ maximum tagged occupancy whose mean drift is checked to be non-negative.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -143,6 +148,16 @@ def _highs(state) -> list[int]:
     return high
 
 
+def _rate_maker():
+    """``Fraction`` that builds each distinct (numerator, denominator) once.
+
+    A rate table repeats a few dozen values over thousands of entries, so
+    its rows share these immutable objects; the cache lives as long as the
+    table being built.
+    """
+    return functools.lru_cache(maxsize=None)(Fraction)
+
+
 def _moved(eta, v: int, w: int) -> tuple[int, ...]:
     moved = list(eta)
     moved[v] -= 1
@@ -166,7 +181,7 @@ def build_tagged_pair_chain(
     between singly occupied tagged vertices land in the merged class).
     """
     states, index, pi = _tagged_space(n, high_count, max_states)
-    unit = Fraction(1, n - 1)
+    rate = _rate_maker()
     rates = [dict() for _ in states]
 
     for i, state in enumerate(states[1:], start=1):
@@ -186,11 +201,15 @@ def build_tagged_pair_chain(
                 else:  # v == t holds: eta[v] > 0 with no high means a tag is here
                     target = MERGED if w == s else (moved, s, w)
                 j = index[target]
-                rates[i][j] = rates[i].get(j, Fraction(0)) + unit
+                rates[i][j] = rates[i].get(j, 0) + 1
+        row = rates[i]
+        for j, moves in row.items():
+            row[j] = rate(moves, n - 1)
 
     # designed exit rates from the merged state (forced by stationarity of
     # the product weights; see the docstring)
-    rates[0] = {i: 2 * unit for i in range(1, len(states))}
+    exit_rate = rate(2, n - 1)
+    rates[0] = {i: exit_rate for i in range(1, len(states))}
     return TaggedPairChain(
         n=n,
         high_count=high_count,
@@ -205,17 +224,25 @@ def balance_residuals(chain: TaggedPairChain, weights=None) -> list[Fraction]:
     """Exact inflow-minus-outflow at every non-merged state under ``weights``.
 
     With the product weights these are all exactly zero; any perturbed
-    weight vector leaves nonzero residuals somewhere.
+    weight vector leaves nonzero residuals somewhere.  ``weights`` holds
+    ints or ``Fraction`` values, one per state.
     """
-    pi = list(chain.pi) if weights is None else list(weights)
-    inflow = [Fraction(0)] * chain.size
-    outflow = [Fraction(0)] * chain.size
+    pi = chain.pi if weights is None else list(weights)
+    # integer weights and rates scaled by the lcm of their denominators
+    weight_den = math.lcm(*(w.denominator for w in pi))
+    rate_den = math.lcm(*(q.denominator for row in chain.rates for q in row.values()))
+    net = [0] * chain.size  # inflow minus outflow, times weight_den * rate_den
     for i, row in enumerate(chain.rates):
+        weight = pi[i].numerator * (weight_den // pi[i].denominator)
+        out = 0
         for j, q in row.items():
-            inflow[j] += pi[i] * q
-            outflow[i] += pi[i] * q
+            flux = weight * q.numerator * (rate_den // q.denominator)
+            net[j] += flux
+            out += flux
+        net[i] -= out
+    scale = weight_den * rate_den
     return [
-        inflow[i] - outflow[i]
+        Fraction(net[i], scale)
         for i, state in enumerate(chain.states)
         if state != MERGED
     ]
@@ -229,13 +256,15 @@ def reverse_chain(chain: TaggedPairChain, suppress_merged: bool = False) -> Tagg
     exit row too); this can only delay the balanced-set hitting time, which
     is the direction needed for upper bounds.
     """
+    rate = _rate_maker()
     rates = [dict() for _ in chain.states]
     merged_idx = chain.states.index(MERGED)
     for i, row in enumerate(chain.rates):
         if suppress_merged and i == merged_idx:
             continue  # forward exits of merged reverse into it
+        # a row names each target once, so rates[j][i] is set once
         for j, q in row.items():
-            rates[j][i] = rates[j].get(i, Fraction(0)) + Fraction(chain.pi[i], chain.pi[j]) * q
+            rates[j][i] = rate(chain.pi[i] * q.numerator, chain.pi[j] * q.denominator)
     if suppress_merged:
         rates[merged_idx] = {}
     kind = "reversed_nomerge" if suppress_merged else "reversed"
@@ -258,6 +287,7 @@ def reversed_attempt_rates(n: int, high_count: int) -> TaggedPairChain:
     independent construction to cross-check :func:`reverse_chain`.
     """
     states, index, pi = _tagged_space(n, high_count, DEFAULT_MAX_CHAIN_STATES)
+    rate = _rate_maker()
     rates = [dict() for _ in states]
     for i, state in enumerate(states[1:], start=1):
         eta, s, t = state
@@ -268,19 +298,20 @@ def reversed_attempt_rates(n: int, high_count: int) -> TaggedPairChain:
             for w in range(n):
                 if w == v:
                     continue
-                attempt = Fraction(eta[w] + 1, (high[w] + 1) * (n - 1))
+                # attempt rate (eta(w)+1)/((high(w)+1)(n-1)) times the chance
+                # that the chosen particle at v is of the kind that moves;
+                # each (v, w) and kind reaches its own target, once per row
+                attempt_den = (high[w] + 1) * (n - 1) * eta[v]
                 moved = _moved(eta, v, w)
                 if high[v] > 0:
-                    share = Fraction(high[v], eta[v])
                     j = index[(moved, s, t)]
-                    rates[i][j] = rates[i].get(j, Fraction(0)) + attempt * share
+                    rates[i][j] = rate((eta[w] + 1) * high[v], attempt_den)
                 if v in (s, t):
                     # the tag at v moves with probability 1/eta(v), onto empty w
                     if eta[w] == 0:
-                        share = Fraction(1, eta[v])
                         target = (moved, w, t) if v == s else (moved, s, w)
                         j = index[target]
-                        rates[i][j] = rates[i].get(j, Fraction(0)) + attempt * share
+                        rates[i][j] = rate(eta[w] + 1, attempt_den)
     return TaggedPairChain(
         n=n,
         high_count=high_count,
@@ -318,20 +349,26 @@ def reversed_rate_bounds_hold(n: int, high_count: int) -> bool:
         if eta[s] == eta[t]:
             continue
         high = _highs(state)
+        # expel[v]: total rate of moves out of v, over the row's common
+        # denominator; a move's source is the vertex whose occupancy drops
+        row = chain.rates[i]
+        den = math.lcm(*(q.denominator for q in row.values()))
+        expel = [0] * n
+        for j, q in row.items():
+            target = chain.states[j]
+            if target == MERGED:
+                continue
+            moved = target[0]
+            v = next(x for x in range(n) if moved[x] < eta[x])
+            expel[v] += q.numerator * (den // q.denominator)
         for v in range(n):
-            attempt_in = Fraction(eta[v] + 1, high[v] + 1)
-            if eta[v] > 0 and attempt_in > 1 + Fraction(1, eta[v]):
-                return False
             if eta[v] == 0:
                 continue
-            expel = Fraction(0)
-            for j, q in chain.rates[i].items():
-                target = chain.states[j]
-                if target == MERGED:
-                    continue
-                if target[0][v] == eta[v] - 1:
-                    expel += q
-            if expel < 1 - Fraction(1, eta[v]):
+            # attempts in: (eta(v)+1)/(high(v)+1) > 1 + 1/eta(v) iff eta(v) > high(v)+1
+            if eta[v] > high[v] + 1:
+                return False
+            # expel < 1 - 1/eta(v), cleared of denominators
+            if expel[v] * eta[v] < (eta[v] - 1) * den:
                 return False
     return True
 
@@ -644,7 +681,9 @@ class SurvivalAgreement:
         }
 
 
-def survival_agreement(chain: TaggedPairChain, times, max_states: int = 4000) -> SurvivalAgreement:
+def survival_agreement(
+    chain: TaggedPairChain, times, max_states: int = DEFAULT_MAX_CHAIN_STATES
+) -> SurvivalAgreement:
     """Exact P(hitting time > t) under forward vs reversed dynamics, from pi.
 
     Both directions are started from the normalized stationary weights and

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from zrpgap import flow
 from zrpgap.flow import (
     CERTIFICATE_CSV_HEADER,
     all_shortest_paths,
@@ -23,6 +24,35 @@ def test_edge_load_values(d, L, expected):
     assert report.uniform
     assert report.max_undirected <= report.bound
     assert report.bound == L * (L**d - 1)
+
+
+def reference_directed_loads(graph):
+    """Directed loads by the pairwise formula: sum over (u, v) of
+    N(u,a) N(b,v) / N(u,v) for every shortest u->v path through (a, b)."""
+    n = graph.vertex_count
+    dists, counts = zip(*(bfs_distance_counts(graph, x) for x in range(n)))
+    directed = {}
+    for a in range(n):
+        for b in set(graph.neighbors(a)):
+            load = Fraction(0)
+            for u in range(n):
+                for v in range(n):
+                    if u != v and dists[u][a] + 1 + dists[b][v] == dists[u][v]:
+                        load += Fraction(counts[u][a] * counts[b][v], counts[u][v])
+            directed[(a, b)] = load
+    return directed
+
+
+@pytest.mark.parametrize(
+    "d,L",
+    [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3)],
+)
+def test_edge_loads_match_pairwise_formula(d, L):
+    graph = Torus(d, L)
+    expected = reference_directed_loads(graph)
+    report = edge_loads(graph)
+    assert list(report.directed.items()) == list(expected.items())
+    assert report.uniform
 
 
 def test_edge_loads_need_torus():
@@ -111,9 +141,21 @@ def test_format_rational():
     assert format_rational(Fraction(6, 3)) == "2"
 
 
-@pytest.mark.parametrize("L,r", [(3, 1), (3, 2), (4, 2)])
-def test_induced_flow_identity(L, r):
-    check = induced_flow_check(Torus(1, L), r)
+@pytest.mark.parametrize(
+    "d,L,r",
+    [
+        pytest.param(1, 3, 1, id="3-1"),
+        pytest.param(1, 3, 2, id="3-2"),
+        pytest.param(1, 4, 2, id="4-2"),
+        # L = 2: parallel edges, each carrying the per-copy vertex load
+        (1, 2, 1),
+        (1, 2, 3),
+        (2, 2, 2),
+        (3, 2, 1),
+    ],
+)
+def test_induced_flow_identity(d, L, r):
+    check = induced_flow_check(Torus(d, L), r)
     assert check.per_edge_equal
     assert check.max_config_flow == check.predicted_flow
     assert check.congestion_config == check.congestion_vertex
@@ -123,3 +165,16 @@ def test_all_shortest_paths_enumeration():
     paths = all_shortest_paths(Torus(1, 4), 0, 2)
     assert sorted(paths) == [(0, 1, 2), (0, 3, 2)]
     assert all_shortest_paths(Complete(5), 1, 3) == [(1, 3)]
+
+
+def test_induced_flow_runs_one_all_pairs_bfs(monkeypatch):
+    calls = []
+
+    def counted(graph, source):
+        calls.append(source)
+        return bfs_distance_counts(graph, source)
+
+    monkeypatch.setattr(flow, "bfs_distance_counts", counted)
+    check = induced_flow_check(Torus(2, 3), 1)
+    assert check.per_edge_equal
+    assert sorted(calls) == list(range(9))

@@ -7,11 +7,14 @@ import pytest
 from scipy import sparse
 from scipy.linalg import expm
 
+from zrpgap import reversal
 from zrpgap.errors import CapacityError
 from zrpgap.graphs import Complete
 from zrpgap.reversal import (
+    DEFAULT_MAX_CHAIN_STATES,
     MERGED,
     DriftParams,
+    TaggedPairChain,
     balance_residuals,
     balanced_states,
     build_tagged_pair_chain,
@@ -282,3 +285,186 @@ def test_occupation_time_inequality_nontrivial():
             chain, 0.2, x_state, start, replicas=4000, seed=9, horizon=1.0
         )
         assert report.bound_holds_within_2se
+
+
+# ---------------------------------------------------------------------------
+# Fraction-accumulation references for the integer-numerator rate kernels
+# ---------------------------------------------------------------------------
+
+def _moved(eta, v, w):
+    moved = list(eta)
+    moved[v] -= 1
+    moved[w] += 1
+    return tuple(moved)
+
+
+def _high(state):
+    eta, s, t = state
+    high = list(eta)
+    high[s] -= 1
+    high[t] -= 1
+    return high
+
+
+def reference_forward_rates(chain):
+    """Forward rates summed one Fraction(1, n-1) per move."""
+    n = chain.n
+    unit = Fraction(1, n - 1)
+    rates = [dict() for _ in chain.states]
+    for i, state in enumerate(chain.states):
+        if state == MERGED:
+            continue
+        eta, s, t = state
+        high = _high(state)
+        for v in range(n):
+            if eta[v] == 0:
+                continue
+            for w in range(n):
+                if w == v:
+                    continue
+                moved = _moved(eta, v, w)
+                if high[v] > 0:
+                    target = (moved, s, t)
+                elif v == s:
+                    target = MERGED if w == t else (moved, w, t)
+                else:
+                    target = MERGED if w == s else (moved, s, w)
+                j = chain.state_index(target)
+                rates[i][j] = rates[i].get(j, Fraction(0)) + unit
+    merged = chain.state_index(MERGED)
+    rates[merged] = {i: 2 * unit for i in range(chain.size) if i != merged}
+    return rates
+
+
+def reference_reverse_rates(chain, suppress_merged):
+    rates = [dict() for _ in chain.states]
+    merged = chain.state_index(MERGED)
+    for i, row in enumerate(chain.rates):
+        if suppress_merged and i == merged:
+            continue
+        for j, q in row.items():
+            rates[j][i] = rates[j].get(i, Fraction(0)) + Fraction(chain.pi[i], chain.pi[j]) * q
+    if suppress_merged:
+        rates[merged] = {}
+    return rates
+
+
+def reference_attempt_rates(chain):
+    """Attempt-form reversed rates as attempt rate times moving share."""
+    n = chain.n
+    rates = [dict() for _ in chain.states]
+    for i, state in enumerate(chain.states):
+        if state == MERGED:
+            continue
+        eta, s, t = state
+        high = _high(state)
+        for v in range(n):
+            if eta[v] == 0:
+                continue
+            for w in range(n):
+                if w == v:
+                    continue
+                attempt = Fraction(eta[w] + 1, (high[w] + 1) * (n - 1))
+                moved = _moved(eta, v, w)
+                if high[v] > 0:
+                    j = chain.state_index((moved, s, t))
+                    rates[i][j] = rates[i].get(j, Fraction(0)) + attempt * Fraction(high[v], eta[v])
+                if v in (s, t) and eta[w] == 0:
+                    target = (moved, w, t) if v == s else (moved, s, w)
+                    j = chain.state_index(target)
+                    rates[i][j] = rates[i].get(j, Fraction(0)) + attempt * Fraction(1, eta[v])
+    return rates
+
+
+def reference_balance_residuals(chain, weights):
+    pi = list(chain.pi) if weights is None else list(weights)
+    inflow = [Fraction(0)] * chain.size
+    outflow = [Fraction(0)] * chain.size
+    for i, row in enumerate(chain.rates):
+        for j, q in row.items():
+            inflow[j] += pi[i] * q
+            outflow[i] += pi[i] * q
+    return [inflow[i] - outflow[i] for i, state in enumerate(chain.states) if state != MERGED]
+
+
+def reference_rate_bounds_hold(chain):
+    """The per-vertex bounds, rescanning the row for every vertex."""
+    n = chain.n
+    for i, state in enumerate(chain.states):
+        if state == MERGED:
+            continue
+        eta, s, t = state
+        if eta[s] == eta[t]:
+            continue
+        high = _high(state)
+        for v in range(n):
+            if eta[v] > 0 and Fraction(eta[v] + 1, high[v] + 1) > 1 + Fraction(1, eta[v]):
+                return False
+            if eta[v] == 0:
+                continue
+            expel = Fraction(0)
+            for j, q in chain.rates[i].items():
+                target = chain.states[j]
+                if target != MERGED and target[0][v] == eta[v] - 1:
+                    expel += q
+            if expel < 1 - Fraction(1, eta[v]):
+                return False
+    return True
+
+
+def assert_same_rows(rates, expected):
+    """Equal rates, Fraction-typed, with the same key order in every row."""
+    assert len(rates) == len(expected)
+    for row, ref in zip(rates, expected):
+        assert list(row.items()) == list(ref.items())
+        assert all(type(q) is Fraction for q in row.values())
+
+
+REFERENCE_CASES = [(3, 0), (3, 1), (4, 1), (4, 2), (5, 2)]
+
+
+@pytest.mark.parametrize("n,j", REFERENCE_CASES)
+def test_rates_match_fraction_accumulation(n, j):
+    chain = build_tagged_pair_chain(n, j)
+    assert_same_rows(chain.rates, reference_forward_rates(chain))
+    for suppress in (False, True):
+        assert_same_rows(reverse_chain(chain, suppress_merged=suppress).rates,
+                         reference_reverse_rates(chain, suppress))
+    attempt = reversed_attempt_rates(n, j)
+    assert attempt.states == chain.states
+    assert_same_rows(attempt.rates, reference_attempt_rates(attempt))
+
+
+@pytest.mark.parametrize("n,j", REFERENCE_CASES)
+def test_balance_residuals_match_fraction_accumulation(n, j):
+    forward = build_tagged_pair_chain(n, j)
+    ratios = [Fraction(k + 2, k + 1) for k in range(forward.size)]
+    for chain in (forward, reverse_chain(forward)):
+        for weights in (None, [1] * chain.size, ratios):
+            residuals = balance_residuals(chain, weights)
+            assert residuals == reference_balance_residuals(chain, weights)
+            assert all(type(x) is Fraction for x in residuals)
+        assert all(x == 0 for x in balance_residuals(chain))
+    assert any(x != 0 for x in balance_residuals(forward, ratios))
+
+
+@pytest.mark.parametrize("n,j", REFERENCE_CASES)
+def test_rate_bounds_match_fraction_accumulation(n, j, monkeypatch):
+    attempt = reversed_attempt_rates(n, j)
+    assert reversed_rate_bounds_hold(n, j) is reference_rate_bounds_hold(attempt) is True
+    # slowed-down rates push the expel totals across the bound
+    for scale in (Fraction(1, 2), Fraction(1, 4)):
+        slowed = TaggedPairChain(
+            n=n, high_count=j, states=attempt.states,
+            rates=tuple({k: q * scale for k, q in row.items()} for row in attempt.rates),
+            pi=attempt.pi, kind=attempt.kind,
+        )
+        monkeypatch.setattr(reversal, "reversed_attempt_rates", lambda n, j: slowed)
+        assert reversed_rate_bounds_hold(n, j) is reference_rate_bounds_hold(slowed)
+
+
+def test_survival_agreement_admits_the_chain_limit():
+    chain = build_tagged_pair_chain(5, 6)
+    assert 4000 < chain.size == 4201 <= DEFAULT_MAX_CHAIN_STATES
+    agreement = survival_agreement(chain, [0.5])
+    assert agreement.sup_difference <= 1e-10
