@@ -6,6 +6,14 @@ with the same configuration and seed is byte-identical and verifiably so.
 Exit codes: 0 success, 1 configuration error, 2 capacity error, 3 partial
 sweep, 4 eigensolver failure.  The only environment variable consulted is
 ZRPGAP_OUT (default output directory).
+
+Handlers only compute: each takes the parsed arguments and returns
+``(payload, extra_files)``, a JSON-serializable payload and a mapping of
+further file names to their text.  :func:`main` does the rest, once: it
+writes the payload to ``<subcommand>.json`` (dashes become underscores) and
+prints the same text, writes the extra files and the manifest, and maps
+each exception to its exit code.  A payload with a non-zero ``failures``
+count is a partial run (exit 3).
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ from .spectral import (
     wilson_bound,
 )
 from .stats import (
+    empty_probability_exact,
     estimate_window_constant,
     fit_exponential_tail,
     occupancy_stats,
@@ -64,77 +73,66 @@ class ConfigError(Exception):
 def _parse_rho(text: str) -> float:
     if "/" in text:
         num, den = text.split("/", 1)
+        if int(den) == 0:
+            raise ConfigError(f"density {text!r} has a zero denominator")
         return float(Fraction(int(num), int(den)))
     return float(text)
 
 
 def _resolve_graph(args) -> Torus | Complete:
-    if getattr(args, "graph", None) == "complete" or (
-        getattr(args, "n", None) is not None and getattr(args, "L", None) is None
-    ):
-        if args.n is None:
+    """The graph the flags name (flow and certificate have no --graph, --n)."""
+    n = getattr(args, "n", None)
+    if getattr(args, "graph", None) == "complete" or (n is not None and args.L is None):
+        if n is None:
             raise ConfigError("complete graph needs --n")
-        return Complete(n=args.n)
-    if getattr(args, "L", None) is None:
+        return Complete(n=n)
+    if args.L is None:
         raise ConfigError("torus needs --d and --L (or pass --graph complete --n N)")
-    return Torus(d=args.d or 1, L=args.L)
+    return Torus(d=1 if args.d is None else args.d, L=args.L)
+
+
+def _particles_at(rho: float, vertex_count: int) -> int:
+    return int(round(rho * vertex_count))
 
 
 def _resolve_particles(args, vertex_count: int) -> tuple[int, dict]:
-    r = getattr(args, "r", None)
-    rho = getattr(args, "rho", None)
-    if (r is None) == (rho is None):
+    if (args.r is None) == (args.rho is None):
         raise ConfigError("give exactly one of --r or --rho")
+    echo = {}
+    r = args.r
     if r is None:
-        requested = _parse_rho(rho)
-        r = int(round(requested * vertex_count))
-        echo = {
-            "rho_requested": requested,
-            "r": r,
-            "rho_actual": r / vertex_count,
-        }
-    else:
-        echo = {"r": r, "rho_actual": r / vertex_count}
+        echo["rho_requested"] = _parse_rho(args.rho)
+        r = _particles_at(echo["rho_requested"], vertex_count)
     if r < 0:
         raise ConfigError("particle count must be non-negative")
+    echo.update(r=r, rho_actual=r / vertex_count)
     return r, echo
 
 
-class _OutputSink:
-    def __init__(self, outdir: str):
-        self.outdir = outdir
-        self.files: dict[str, str] = {}
-
-    def write(self, name: str, text: str) -> None:
-        self.files[name] = text
-
-    def flush(self, manifest: dict) -> None:
-        os.makedirs(self.outdir, exist_ok=True)
-        digests = {}
-        for name, text in self.files.items():
-            path = os.path.join(self.outdir, name)
-            with open(path, "w") as handle:
-                handle.write(text)
-            digests[name] = hashlib.sha256(text.encode()).hexdigest()
-        manifest["outputs"] = digests
-        with open(os.path.join(self.outdir, "manifest.json"), "w") as handle:
-            handle.write(_dump_json(manifest))
+def _write_outputs(outdir: str, files: dict[str, str], manifest: dict) -> None:
+    """Write ``files`` and then the manifest with their sha256 digests."""
+    os.makedirs(outdir, exist_ok=True)
+    digests = {}
+    for name, text in files.items():
+        with open(os.path.join(outdir, name), "w") as handle:
+            handle.write(text)
+        digests[name] = hashlib.sha256(text.encode()).hexdigest()
+    manifest["outputs"] = digests
+    with open(os.path.join(outdir, "manifest.json"), "w") as handle:
+        handle.write(_dump_json(manifest))
 
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _echo_config(args, extra=None) -> dict:
+def _echo_config(args) -> dict:
     skip = {"func", "out", "config"}
-    cfg = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
-    if extra:
-        cfg.update(extra)
-    return cfg
+    return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (payload, files, status)
+# Subcommand handlers: each returns (payload, extra_files)
 # ---------------------------------------------------------------------------
 
 def _cmd_exact_gap(args):
@@ -147,10 +145,12 @@ def _cmd_exact_gap(args):
     payload.update(echo)
     if graph.degenerate:
         payload["degenerate_torus"] = True
-    return payload, {"exact_gap.json": _dump_json(payload)}, 0
+    return payload, {}
 
 
 def _cmd_tv_curve(args):
+    if args.points < 2:
+        raise ConfigError("--points must be at least 2")
     graph = _resolve_graph(args)
     r, echo = _resolve_particles(args, graph.vertex_count)
     gen = build_generator(graph, r, max_states=args.max_states)
@@ -164,10 +164,7 @@ def _cmd_tv_curve(args):
         lo, hi = args.fit_window
         payload["fitted_rate"] = fit_decay_rate(curve, lo, hi)
         payload["fit_window"] = [lo, hi]
-    return payload, {
-        "tv_curve.json": _dump_json(payload),
-        "tv_curve.csv": curve.to_csv(),
-    }, 0
+    return payload, {"tv_curve.csv": curve.to_csv()}
 
 
 def _cmd_wilson(args):
@@ -176,8 +173,6 @@ def _cmd_wilson(args):
         raise ConfigError("wilson bounds need a torus")
     r, echo = _resolve_particles(args, graph.vertex_count)
     variants = WILSON_VARIANTS if args.variant == "both" else (args.variant,)
-    if args.mode == "monte_carlo" and args.seed is None:
-        raise ConfigError("monte_carlo mode needs --seed")
     results = {
         variant: wilson_bound(
             graph,
@@ -192,11 +187,11 @@ def _cmd_wilson(args):
     }
     payload = {"graph": graph.as_json(), "bounds": results}
     payload.update(echo)
-    return payload, {"wilson.json": _dump_json(payload)}, 0
+    return payload, {}
 
 
 def _cmd_flow(args):
-    graph = Torus(d=args.d or 1, L=args.L)
+    graph = _resolve_graph(args)
     loads = edge_loads(graph)
     cert = comparison_certificate(graph, loads=loads)
     csv = CERTIFICATE_CSV_HEADER + "\n" + cert.csv_row() + "\n"
@@ -204,14 +199,14 @@ def _cmd_flow(args):
         "certificate": cert.as_dict(),
         "edge_loads": loads.as_dict(),
     }
-    return payload, {"flow.csv": csv, "flow.json": _dump_json(payload)}, 0
+    return payload, {"flow.csv": csv}
 
 
 def _cmd_certificate(args):
-    graph = Torus(d=args.d or 1, L=args.L)
+    graph = _resolve_graph(args)
     tau2 = args.tau2
     payload_extra = {}
-    if tau2 is None and getattr(args, "r", None) is not None:
+    if tau2 is None and args.r is not None:
         complete = Complete(n=graph.vertex_count)
         gen = build_generator(complete, args.r, max_states=args.max_states)
         tau2 = exact_gap(gen).relaxation_time
@@ -220,7 +215,7 @@ def _cmd_certificate(args):
     cert = comparison_certificate(graph, tau2=tau2)
     payload = cert.as_dict()
     payload.update(payload_extra)
-    return payload, {"certificate.json": _dump_json(payload)}, 0
+    return payload, {}
 
 
 def _cmd_couple(args):
@@ -245,7 +240,7 @@ def _cmd_couple(args):
     payload = estimate.as_dict()
     payload.update({"n": args.n, "r": args.r, "replicas": args.replicas,
                     "horizon": horizon})
-    return payload, {"couple.csv": csv, "couple.json": _dump_json(payload)}, 0
+    return payload, {"couple.csv": csv}
 
 
 def _cmd_zeta_balance(args):
@@ -259,10 +254,10 @@ def _cmd_zeta_balance(args):
         "max_abs_residual": {"num": worst.numerator, "den": worst.denominator},
         "balanced_exactly": worst == 0,
     }
-    files = {"zeta_balance.json": _dump_json(payload)}
+    files = {}
     if args.dump_chain:
         files["zeta_chain.json"] = _dump_json(chain.as_dict())
-    return payload, files, 0
+    return payload, files
 
 
 def _cmd_reversal_w(args):
@@ -291,23 +286,20 @@ def _cmd_reversal_w(args):
     if len(times) >= 1000:
         fit = fit_exponential_tail(times, bootstrap=args.bootstrap, seed=args.seed)
         payload["tail_fit"] = fit.as_dict()
-    return payload, {"reversal_w.csv": csv, "reversal_w.json": _dump_json(payload)}, 0
+    return payload, {"reversal_w.csv": csv}
 
 
 def _cmd_drift(args):
     c_const = args.c_param if args.c_param is not None else estimate_window_constant()
     check = drift_check(args.n, args.j, args.replicas, args.seed, c_const,
                         t_ref=args.t_ref)
-    payload = check.as_dict()
-    return payload, {"drift.json": _dump_json(payload)}, 0
+    return check.as_dict(), {}
 
 
 def _cmd_occupancy(args):
     trace = occupancy_stats(args.n, args.r, args.horizon, args.seed,
                             m_param=args.m_param)
     payload = trace.as_dict()
-    from .stats import empty_probability_exact
-
     exact = empty_probability_exact(args.n, args.r)
     payload["stationary_empty_probability"] = {
         "num": exact.numerator,
@@ -316,10 +308,7 @@ def _cmd_occupancy(args):
     }
     csv_lines = ["vertex,empty_time"]
     csv_lines += [f"{v},{z!r}" for v, z in enumerate(trace.empty_time)]
-    return payload, {
-        "occupancy.json": _dump_json(payload),
-        "occupancy.csv": "\n".join(csv_lines) + "\n",
-    }, 0
+    return payload, {"occupancy.csv": "\n".join(csv_lines) + "\n"}
 
 
 def _cmd_tails(args):
@@ -335,9 +324,9 @@ def _cmd_tails(args):
         }
         csv_lines = ["lambda,concentration_half",
                      f"{args.lam!r},{payload['concentration_half']!r}"]
-    elif args.kind == "rw":
+    else:
         if args.seed is None:
-            raise ConfigError("rw tails need --seed")
+            raise ConfigError("tails --kind rw needs --seed")
         rows = []
         csv_lines = ["r,estimate,stderr,ci_low,ci_high,scaled_by_r"]
         for rr in args.r_values:
@@ -355,13 +344,7 @@ def _cmd_tails(args):
                 f"{est.ci_high!r},{est.value * rr!r}"
             )
         payload = {"replicas": args.replicas, "rows": rows}
-    else:
-        raise ConfigError(f"unknown tails kind {args.kind!r}")
-    files = {
-        "tails.json": _dump_json(payload),
-        "tails.csv": "\n".join(csv_lines) + "\n",
-    }
-    return payload, files, 0
+    return payload, {"tails.csv": "\n".join(csv_lines) + "\n"}
 
 
 def _cmd_sweep(args):
@@ -375,9 +358,8 @@ def _cmd_sweep(args):
         for L in Ls:
             for rho in rhos:
                 graph = Torus(d=d, L=L)
-                vertex_count = graph.vertex_count
-                r = int(round(rho * vertex_count))
-                actual = r / vertex_count
+                r = _particles_at(rho, graph.vertex_count)
+                actual = r / graph.vertex_count
                 prefix = f"{d},{L},{r},{rho!r},{actual!r}"
                 try:
                     if args.task == "exact-gap":
@@ -387,14 +369,11 @@ def _cmd_sweep(args):
                         rows.append(
                             f"{prefix},{report.gap!r},{report.relaxation_time!r},{norm!r},"
                         )
-                    elif args.task == "wilson":
-                        bound = wilson_bound(graph, r, variant=args.variant
-                                             if args.variant != "both" else "full_wave",
+                    else:
+                        bound = wilson_bound(graph, r, variant=args.variant,
                                              max_states=args.max_states)
                         norm = bound.quotient * (actual + 1.0) ** 2 * L * L
                         rows.append(f"{prefix},{bound.quotient!r},,{norm!r},")
-                    else:
-                        raise ConfigError(f"sweep does not support task {args.task!r}")
                 except (CapacityError, SolverConvergenceError, ValueError) as exc:
                     failures += 1
                     rows.append(f"{prefix},,,,{type(exc).__name__}: {exc}")
@@ -404,8 +383,7 @@ def _cmd_sweep(args):
         "points": len(rows),
         "failures": failures,
     }
-    status = 3 if failures else 0
-    return payload, {"sweep.csv": csv, "sweep.json": _dump_json(payload)}, status
+    return payload, {"sweep.csv": csv}
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +407,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, stochastic=False):
+    def add_common(p, seed=None):
+        """``seed``: None for no --seed flag, else whether it is required."""
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--config", default=None, help="JSON config file; flags override")
         p.add_argument("--max-states", dest="max_states", type=int, default=200_000)
-        if stochastic:
-            p.add_argument("--seed", type=int, default=None, required=False)
+        if seed is not None:
+            p.add_argument("--seed", type=int, default=None, required=seed)
 
     def add_graph(p):
         p.add_argument("--graph", choices=["torus", "complete"], default=None)
@@ -463,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tv_curve)
 
     p = sub.add_parser("wilson", help="cosine test-function bounds on the gap")
-    add_common(p, stochastic=True)
+    add_common(p, seed=False)
     add_graph(p)
     add_particles(p)
     p.add_argument("--variant", choices=list(WILSON_VARIANTS) + ["both"], default="both")
@@ -488,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_certificate)
 
     p = sub.add_parser("couple", help="sample coupling times and fit the tail")
-    add_common(p, stochastic=True)
+    add_common(p, seed=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--replicas", type=int, default=2000)
@@ -504,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_zeta_balance)
 
     p = sub.add_parser("reversal-w", help="reversed-chain hitting times of the balanced set")
-    add_common(p, stochastic=True)
+    add_common(p, seed=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--replicas", type=int, default=2000)
@@ -514,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reversal_w)
 
     p = sub.add_parser("drift", help="averaged submartingale drift of the ladder functional")
-    add_common(p, stochastic=True)
+    add_common(p, seed=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--replicas", type=int, default=10_000)
@@ -523,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_drift)
 
     p = sub.add_parser("occupancy", help="empty-time statistics of a single run")
-    add_common(p, stochastic=True)
+    add_common(p, seed=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--horizon", type=float, default=10_000.0)
@@ -531,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_occupancy)
 
     p = sub.add_parser("tails", help="Poisson-difference tables and no-return estimates")
-    add_common(p, stochastic=True)
+    add_common(p, seed=False)
     p.add_argument("--kind", choices=["skellam", "poisson", "rw"], required=True)
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--m", type=_int_list, default=[0, 1, 2])
@@ -545,14 +524,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-values", dest="d_values", type=_int_list, default=[1])
     p.add_argument("--L-values", dest="L_values", type=_int_list, required=True)
     p.add_argument("--rho-values", dest="rho_values", type=_str_list, required=True)
-    p.add_argument("--variant", choices=list(WILSON_VARIANTS) + ["both"],
-                   default="full_wave")
+    p.add_argument("--variant", choices=WILSON_VARIANTS, default="full_wave")
     p.set_defaults(func=_cmd_sweep)
 
     return parser
-
-
-_STOCHASTIC = {"couple", "reversal-w", "drift", "occupancy"}
 
 
 def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
@@ -603,14 +578,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        if args.subcommand in _STOCHASTIC and getattr(args, "seed", None) is None:
-            raise ConfigError(f"{args.subcommand} needs --seed")
-        if args.subcommand == "tails" and args.kind == "rw" and args.seed is None:
-            raise ConfigError("tails --kind rw needs --seed")
         started = time.perf_counter()
-        payload, files, status = args.func(args)
+        payload, files = args.func(args)
         elapsed = time.perf_counter() - started
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except CapacityError as exc:
@@ -619,24 +590,21 @@ def main(argv=None) -> int:
     except SolverConvergenceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
 
-    outdir = args.out or os.environ.get("ZRPGAP_OUT") or "zrpgap_out"
-    sink = _OutputSink(outdir)
-    for name, text in files.items():
-        sink.write(name, text)
+    text = _dump_json(payload)
+    partial = bool(payload.get("failures"))
     manifest = {
         "version": __version__,
         "subcommand": args.subcommand,
         "config": _echo_config(args),
         "timing_seconds": {args.subcommand: elapsed},
-        "status": "partial" if status == 3 else "ok",
+        "status": "partial" if partial else "ok",
     }
-    sink.flush(manifest)
-    print(_dump_json(payload), end="")
-    return status
+    outdir = args.out or os.environ.get("ZRPGAP_OUT") or "zrpgap_out"
+    name = args.subcommand.replace("-", "_") + ".json"
+    _write_outputs(outdir, {name: text, **files}, manifest)
+    print(text, end="")
+    return 3 if partial else 0
 
 
 def entry() -> None:

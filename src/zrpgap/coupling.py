@@ -284,6 +284,8 @@ class CouplingRun:
 
 def default_horizon(n: int, r: int, replicas: int) -> float:
     """Censoring horizon far beyond the expected coupling-time tail."""
+    if replicas < 1:
+        raise ValueError("need at least one replica")
     rho = r / n
     return 200.0 * (rho + 1.0) ** 2 * max(1.0, math.log(replicas))
 

@@ -27,17 +27,7 @@ from fractions import Fraction
 
 from .configurations import enumerate_configurations
 from .errors import CapacityError
-from .graphs import Torus, bfs_distance_counts
-
-
-def _all_pairs(graph):
-    dists = []
-    counts = []
-    for u in range(graph.vertex_count):
-        d, c = bfs_distance_counts(graph, u)
-        dists.append(d)
-        counts.append(c)
-    return dists, counts
+from .graphs import Torus, all_pairs_bfs, bfs_distance_counts
 
 
 def _directed_edges(graph):
@@ -94,7 +84,7 @@ def edge_loads(graph: Torus) -> EdgeLoadReport:
     """
     if not isinstance(graph, Torus):
         raise ValueError("edge loads are defined for the torus family")
-    return _edge_loads(graph, *_all_pairs(graph))
+    return _edge_loads(graph, *all_pairs_bfs(graph))
 
 
 def _edge_loads(graph: Torus, dists, counts) -> EdgeLoadReport:
@@ -214,10 +204,16 @@ def comparison_certificate(
 
 
 def all_shortest_paths(graph, u, v, dists=None):
-    """Every shortest u->v path as a vertex tuple (exhaustive; small graphs)."""
+    """Every shortest u->v path as a vertex tuple (exhaustive; small graphs).
+
+    Only the distance rows of u and v are read (the graphs are undirected,
+    so dist(w, v) = dist(v, w)); without ``dists`` they come from two BFS.
+    """
     if dists is None:
-        dists = _all_pairs(graph)[0]
-    target_dist = dists[u][v]
+        from_u = bfs_distance_counts(graph, u)[0]
+        from_v = bfs_distance_counts(graph, v)[0]
+    else:
+        from_u, from_v = dists[u], dists[v]
     paths = []
 
     def extend(x, acc):
@@ -225,13 +221,13 @@ def all_shortest_paths(graph, u, v, dists=None):
             paths.append(tuple(acc))
             return
         for w in set(graph.neighbors(x)):
-            if dists[u][w] == dists[u][x] + 1 and dists[w][v] == dists[x][v] - 1:
+            if from_u[w] == from_u[x] + 1 and from_v[w] == from_v[x] - 1:
                 acc.append(w)
                 extend(w, acc)
                 acc.pop()
 
     extend(u, [u])
-    assert all(len(p) == target_dist + 1 for p in paths)
+    assert all(len(p) == from_u[v] + 1 for p in paths)
     return paths
 
 
@@ -245,18 +241,6 @@ class InducedFlowCheck:
     per_edge_equal: bool
     congestion_config: Fraction
     congestion_vertex: Fraction
-
-    def as_dict(self) -> dict:
-        return {
-            "graph": self.graph.as_json(),
-            "r": self.r,
-            "config_edges": self.config_edges,
-            "max_config_flow": _frac_json(self.max_config_flow),
-            "predicted_flow": _frac_json(self.predicted_flow),
-            "per_edge_equal": self.per_edge_equal,
-            "congestion_config": _frac_json(self.congestion_config),
-            "congestion_vertex": _frac_json(self.congestion_vertex),
-        }
 
 
 def induced_flow_check(graph: Torus, r: int, max_states: int = 50_000) -> InducedFlowCheck:
@@ -284,7 +268,7 @@ def induced_flow_check(graph: Torus, r: int, max_states: int = 50_000) -> Induce
     pair_count = len(configs) * n * (n - 1)
     if pair_count > 2_000_000:
         raise CapacityError(f"{pair_count} routed pairs exceed the capacity limit")
-    dists, counts = _all_pairs(graph)
+    dists, counts = all_pairs_bfs(graph)
     common = math.lcm(*(c for row in counts for c in row))
     mult = {(a, b): graph.neighbors(a).count(b) for a, b in _directed_edges(graph)}
 

@@ -31,10 +31,6 @@ class Torus:
             raise ValueError("torus side length must be >= 2")
 
     @property
-    def family(self) -> str:
-        return "torus"
-
-    @property
     def vertex_count(self) -> int:
         return self.L**self.d
 
@@ -89,10 +85,6 @@ class Complete:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("complete graph needs at least 2 vertices")
-
-    @property
-    def family(self) -> str:
-        return "complete"
 
     @property
     def vertex_count(self) -> int:
@@ -161,9 +153,11 @@ def shortest_path_data(graph: GraphSpec, u: int, v: int) -> tuple[int, int]:
     return dist[v], count[v]
 
 
+def all_pairs_bfs(graph: GraphSpec) -> tuple[list[list[int]], list[list[int]]]:
+    """Distance and shortest-path-count rows from every source, one BFS each."""
+    rows = [bfs_distance_counts(graph, u) for u in range(graph.vertex_count)]
+    return [d for d, _ in rows], [c for _, c in rows]
+
+
 def diameter(graph: GraphSpec) -> int:
-    best = 0
-    for u in range(graph.vertex_count):
-        dist, _ = bfs_distance_counts(graph, u)
-        best = max(best, max(dist))
-    return best
+    return max(max(row) for row in all_pairs_bfs(graph)[0])

@@ -390,6 +390,10 @@ class DriftParams:
     density: float
     c_const: float
 
+    def __post_init__(self):
+        if self.c_const <= 0:
+            raise ValueError("the window constant c must be positive")
+
     @property
     def scale(self) -> float:
         return 64.0 * (self.density + 1.0) / self.c_const
@@ -582,6 +586,8 @@ def sample_hitting_times(
     horizon: float,
     c_const: float,
 ) -> list[ReversedRun]:
+    if replicas < 1:
+        raise ValueError("need at least one replica")
     chain = build_tagged_pair_chain(n, high_count)
     return [
         simulate_reversed_hitting(chain, derive_seed(seed, i), horizon, c_const)
@@ -627,6 +633,10 @@ def drift_check(
     + drift compensator) stopped at the balanced set is a submartingale, so
     its mean increment over [0, t_ref] should be non-negative up to noise.
     """
+    if replicas < 2:
+        raise ValueError("need at least two replicas for a standard error")
+    if t_ref <= 0:
+        raise ValueError("t_ref must be positive")
     chain = build_tagged_pair_chain(n, high_count)
     increments = np.empty(replicas)
     for i in range(replicas):
@@ -671,14 +681,6 @@ class SurvivalAgreement:
     forward: tuple[float, ...]
     backward: tuple[float, ...]
     sup_difference: float
-
-    def as_dict(self) -> dict:
-        return {
-            "times": list(self.times),
-            "forward_survival": list(self.forward),
-            "reversed_survival": list(self.backward),
-            "sup_difference": self.sup_difference,
-        }
 
 
 def survival_agreement(
@@ -757,14 +759,6 @@ class OccupationReversalReport:
     reversed_max: MCEstimate
     constant: float
     bound_holds_within_2se: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "forward": self.forward.as_dict(),
-            "reversed_max": self.reversed_max.as_dict(),
-            "constant": self.constant,
-            "bound_holds_within_2se": self.bound_holds_within_2se,
-        }
 
 
 def occupation_time_inequality(

@@ -307,19 +307,8 @@ def fit_decay_rate(curve: TVCurve, t_min: float, t_max: float) -> float:
 # Variational bounds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TestFunction:
-    """A real statistic of configurations used in the variational bound."""
-
-    name: str
-    fn: object  # callable configuration -> float
-
-    def __call__(self, occ) -> float:
-        return self.fn(occ)
-
-
 def evaluate_on_space(gen: Generator, f) -> np.ndarray:
-    if isinstance(f, TestFunction) or callable(f):
+    if callable(f):
         return np.array([float(f(c)) for c in gen.configurations])
     values = np.asarray(f, dtype=float)
     if values.shape != (gen.dimension,):
@@ -368,12 +357,10 @@ def wilson_profile(graph: Torus, variant: str) -> np.ndarray:
     )
 
 
-def wilson_test_function(graph: Torus, variant: str) -> TestFunction:
+def wilson_test_function(graph: Torus, variant: str):
+    """The cosine statistic occ -> sum_v phi(v) occ(v) as a plain function."""
     phi = wilson_profile(graph, variant)
-    return TestFunction(
-        name=f"wilson_{variant}",
-        fn=lambda occ: float(np.dot(phi, occ)),
-    )
+    return lambda occ: float(np.dot(phi, occ))
 
 
 @dataclass(frozen=True)
@@ -471,6 +458,8 @@ def wilson_bound(
     if mode == "monte_carlo":
         if seed is None:
             raise ValueError("monte_carlo mode needs a seed")
+        if samples < 2:
+            raise ValueError("monte_carlo mode needs at least two samples")
         rng = make_generator(seed)
         per_vertex = _vertex_dirichlet_terms(graph, phi)
         dir_samples = np.empty(samples)

@@ -74,6 +74,7 @@ class OccupancyTrace:
     truncation: float
     window_means: tuple[float, ...]
     events: int
+    path: tuple | None = None  # ((time, occupancy), ...) when recorded
 
     @property
     def mean_empty_time(self) -> float:
@@ -107,15 +108,15 @@ def occupancy_stats(
     start="stationary",
     m_param: float = 1.0,
     record_path: bool = False,
-):
+) -> OccupancyTrace:
     """Simulate the process on K_n and accumulate exact per-vertex empty time.
 
     Also reports windowed, truncated empty-time averages: the horizon is cut
     into windows of length (rho+1)^2 and each vertex's empty time within a
     window is capped at m_param*(rho+1) before averaging over vertices.
 
-    With ``record_path`` the full event path [(time, occupancy), ...] is
-    returned alongside the trace, for cross-checking accumulators.
+    With ``record_path`` the trace's ``path`` holds the start and every
+    move as (time, occupancy), for cross-checking accumulators.
     """
     if n < 2 or r < 0:
         raise ValueError("need n >= 2 and r >= 0")
@@ -198,7 +199,7 @@ def occupancy_stats(
             if record_path:
                 path.append((t, tuple(occ)))
 
-    trace = OccupancyTrace(
+    return OccupancyTrace(
         n=n,
         r=r,
         horizon=float(horizon),
@@ -209,10 +210,8 @@ def occupancy_stats(
         truncation=truncation,
         window_means=tuple(window_means),
         events=events,
+        path=tuple(path) if record_path else None,
     )
-    if record_path:
-        return trace, path
-    return trace
 
 
 def estimate_window_constant(

@@ -306,3 +306,29 @@ def test_default_outdir_env(tmp_path, monkeypatch, capsys):
     code = main(["flow", "--d", "1", "--L", "3"])
     assert code == 0
     assert (tmp_path / "envdir" / "flow.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "tv-curve --graph complete --n 3 --r 2 --points 1",
+        "reversal-w --n 4 --j 1 --replicas 0 --seed 1 --c-param 0.3",
+        "reversal-w --n 4 --j 1 --replicas 10 --seed 1 --c-param 0",
+        "drift --n 4 --j 1 --replicas 0 --seed 1 --c-param 0.3",
+        "drift --n 4 --j 1 --replicas 1 --seed 1 --c-param 0.3",
+        "drift --n 4 --j 1 --replicas 10 --seed 1 --c-param 0.3 --t-ref 0",
+        "couple --n 4 --r 4 --replicas 0 --seed 1",
+        "exact-gap --d 0 --L 4 --r 2",
+        "flow --d 0 --L 4",
+        "exact-gap --d 1 --L 4 --rho 1/0",
+        "sweep --L-values 3 --rho-values 1/0",
+        "wilson --d 1 --L 4 --r 2 --mode monte_carlo --seed 1 --samples 1",
+        "sweep --task wilson --L-values 3 --rho-values 1 --variant both",
+    ],
+)
+def test_bad_values_exit_1_without_traceback(args, tmp_path, capsys):
+    code, out = run_cli(args.split(), tmp_path, "bad")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err and "math domain error" not in err
+    assert not out.exists()

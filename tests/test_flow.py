@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from zrpgap import flow
+from zrpgap import flow, graphs
 from zrpgap.flow import (
     CERTIFICATE_CSV_HEADER,
     all_shortest_paths,
@@ -167,14 +167,27 @@ def test_all_shortest_paths_enumeration():
     assert all_shortest_paths(Complete(5), 1, 3) == [(1, 3)]
 
 
-def test_induced_flow_runs_one_all_pairs_bfs(monkeypatch):
+@pytest.fixture
+def bfs_sources(monkeypatch):
+    """The sources of every BFS run, wherever in zrpgap it is called from."""
     calls = []
 
     def counted(graph, source):
         calls.append(source)
         return bfs_distance_counts(graph, source)
 
+    monkeypatch.setattr(graphs, "bfs_distance_counts", counted)
     monkeypatch.setattr(flow, "bfs_distance_counts", counted)
+    return calls
+
+
+def test_induced_flow_runs_one_all_pairs_bfs(bfs_sources):
     check = induced_flow_check(Torus(2, 3), 1)
     assert check.per_edge_equal
-    assert sorted(calls) == list(range(9))
+    assert sorted(bfs_sources) == list(range(9))
+
+
+def test_all_shortest_paths_runs_two_bfs(bfs_sources):
+    paths = all_shortest_paths(Torus(2, 3), 0, 4)
+    assert sorted(paths) == [(0, 1, 4), (0, 3, 4)]
+    assert sorted(bfs_sources) == [0, 4]

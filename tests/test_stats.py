@@ -58,7 +58,8 @@ def test_occupancy_zero_particles_always_empty():
 
 
 def test_occupancy_accumulator_matches_grid_resimulation():
-    trace, path = occupancy_stats(3, 2, 40.0, seed=9, record_path=True)
+    trace = occupancy_stats(3, 2, 40.0, seed=9, record_path=True)
+    path = trace.path
     delta = 1e-3
     grid = np.zeros(3)
     times = [t for t, _ in path] + [trace.horizon]
