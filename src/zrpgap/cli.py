@@ -56,8 +56,8 @@ from .spectral import (
     wilson_bound,
 )
 from .stats import (
+    WINDOW_CONSTANT,
     empty_probability_exact,
-    estimate_window_constant,
     fit_exponential_tail,
     occupancy_stats,
     poisson_concentration,
@@ -261,7 +261,7 @@ def _cmd_zeta_balance(args):
 
 
 def _cmd_reversal_w(args):
-    c_const = args.c_param if args.c_param is not None else estimate_window_constant()
+    c_const = WINDOW_CONSTANT if args.c_param is None else args.c_param
     horizon = args.horizon or 1e6
     runs = sample_hitting_times(args.n, args.j, args.replicas, args.seed,
                                 horizon, c_const)
@@ -290,7 +290,7 @@ def _cmd_reversal_w(args):
 
 
 def _cmd_drift(args):
-    c_const = args.c_param if args.c_param is not None else estimate_window_constant()
+    c_const = WINDOW_CONSTANT if args.c_param is None else args.c_param
     check = drift_check(args.n, args.j, args.replicas, args.seed, c_const,
                         t_ref=args.t_ref)
     return check.as_dict(), {}

@@ -74,15 +74,18 @@ class _Copy:
 
 def _apply_move(copy: _Copy, v: int, w: int) -> None:
     """Fire vertex v with destination w: the best-ranked particle moves."""
-    if copy.matched[v] > 0:
-        copy.matched[v] -= 1
-        copy.matched[w] += 1
+    matched = copy.matched
+    if matched[v]:
+        matched[v] -= 1
+        matched[w] += 1
     elif copy.active == v:
         copy.active = w
-    elif copy.low[v] > 0:
-        copy.low[v] -= 1
-        copy.low[w] += 1
-    # else: the vertex is empty and the firing is wasted
+    else:
+        low = copy.low
+        if low[v]:
+            low[v] -= 1
+            low[w] += 1
+        # else: the vertex is empty and the firing is wasted
 
 
 @dataclass(frozen=True)
@@ -203,17 +206,27 @@ def _step(state: CoupledState, v: int, w: int) -> None:
 
     Copy two gets the identical move in phase 1, which also covers a
     coalesced pair, and the move mirrored through the a <-> b swap in
-    phase 2; then the pairing is checked if asked and the markers settle.
+    phase 2; then the pairing is checked if asked.  ``_settle`` runs only
+    when the current phase's end condition holds: that condition is the
+    first test it makes, and it returns at once on a coalesced pair, so the
+    markers, durations and draws are those of settling after every event.
     """
     state.events += 1
-    _apply_move(state.one, v, w)
-    if state.phase == 2:
+    one, two = state.one, state.two
+    _apply_move(one, v, w)
+    phase2 = state.phase == 2
+    if phase2:
         a, b = state.a, state.b
         v = b if v == a else a if v == b else v
         w = b if w == a else a if w == b else w
-    _apply_move(state.two, v, w)
+    _apply_move(two, v, w)
     if state.check_invariants:
         _assert_pairing(state)
+    if phase2:
+        if one.top_count(a) != one.top_count(b):
+            return
+    elif one.matched[one.active] != two.matched[two.active] or state.coalesced:
+        return
     _settle(state)
 
 
@@ -314,7 +327,8 @@ def run_to_coalescence(
     chunk = 64
     bi = blen = 0
     buf_v = buf_u = buf_e = None
-    while not (state.coalesced and not pending):
+    # a coalesced pair keeps evolving, past the horizon, while observed
+    while not state.coalesced or pending:
         if bi == blen:
             chunk = min(chunk * 2, 8192)
             buf_v = rng.integers(0, n, chunk).tolist()
@@ -328,18 +342,19 @@ def run_to_coalescence(
         bi += 1
         w = u + 1 if u >= v else u
         t_next = state.clock + dt
-        # observation times inside the run's lifetime see the frozen
-        # pre-event state; a coalesced run keeps observing past the horizon
-        while pending and pending[0] < t_next and (
-            state.coalesced or pending[0] <= horizon
-        ):
-            observations.append(
-                (pending.pop(0), state.one.occupancy(), state.two.occupancy())
-            )
-        if not state.coalesced and t_next > horizon:
+        if pending:
+            # observation times inside the run's lifetime see the frozen
+            # pre-event state
+            while pending and pending[0] < t_next and (
+                state.coalesced or pending[0] <= horizon
+            ):
+                observations.append(
+                    (pending.pop(0), state.one.occupancy(), state.two.occupancy())
+                )
+            if state.coalesced and not pending:
+                break
+        if t_next > horizon and not state.coalesced:
             state.clock = horizon
-            break
-        if state.coalesced and not pending:
             break
         state.clock = t_next
         _step(state, v, w)

@@ -6,7 +6,7 @@ class CapacityError(Exception):
 
 
 class SolverConvergenceError(Exception):
-    """An iterative eigensolver failed to converge.
+    """An eigensolver failed to converge or found no simple zero mode.
 
     Carries whatever diagnostics the solver produced so callers can report
     them instead of silently retrying.

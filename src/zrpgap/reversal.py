@@ -339,7 +339,9 @@ def reversed_rate_bounds_hold(n: int, high_count: int) -> bool:
     """Per-state rate bounds of the reversed dynamics, checked exactly.
 
     Away from the balanced set, every occupied vertex v loses mass at total
-    rate >= 1 - 1/eta(v) and receives attempts at total rate <= 1 + 1/eta(v).
+    rate >= 1 - 1/eta(v).  The matching bound on attempts in, a total rate
+    (eta(v)+1)/(high(v)+1) <= 1 + 1/eta(v), holds in every state: it reduces
+    to eta(v) <= high(v) + 1, and the two tags sit on distinct vertices.
     """
     chain = reversed_attempt_rates(n, high_count)
     for i, state in enumerate(chain.states):
@@ -348,7 +350,6 @@ def reversed_rate_bounds_hold(n: int, high_count: int) -> bool:
         eta, s, t = state
         if eta[s] == eta[t]:
             continue
-        high = _highs(state)
         # expel[v]: total rate of moves out of v, over the row's common
         # denominator; a move's source is the vertex whose occupancy drops
         row = chain.rates[i]
@@ -362,12 +363,8 @@ def reversed_rate_bounds_hold(n: int, high_count: int) -> bool:
             v = next(x for x in range(n) if moved[x] < eta[x])
             expel[v] += q.numerator * (den // q.denominator)
         for v in range(n):
-            if eta[v] == 0:
-                continue
-            # attempts in: (eta(v)+1)/(high(v)+1) > 1 + 1/eta(v) iff eta(v) > high(v)+1
-            if eta[v] > high[v] + 1:
-                return False
-            # expel < 1 - 1/eta(v), cleared of denominators
+            # expel < 1 - 1/eta(v), cleared of denominators; never true
+            # at an empty vertex (0 < -den)
             if expel[v] * eta[v] < (eta[v] - 1) * den:
                 return False
     return True

@@ -149,7 +149,8 @@ class SpectralReport:
 def exact_gap(gen: Generator, method: str = "auto") -> SpectralReport:
     """Smallest nonzero eigenvalue of the negated generator.
 
-    Dense symmetric eigendecomposition up to ``DENSE_THRESHOLD`` states.
+    Dense symmetric eigendecomposition up to ``DENSE_THRESHOLD`` states; it
+    raises ``SolverConvergenceError`` unless the zero eigenvalue is simple.
     Above it, Lanczos with no factorization: ARPACK finds the largest
     eigenvalue theta of ``P (c I + Q) P``, where P projects out the constant
     vector (the zero mode) and ``c`` is twice the largest exit rate, so that
@@ -165,6 +166,15 @@ def exact_gap(gen: Generator, method: str = "auto") -> SpectralReport:
     neg = -gen.matrix
     if method == "dense":
         values, vectors = np.linalg.eigh(neg.toarray())
+        # the zero mode must be simple: a second eigenvalue at zero means a
+        # reducible generator (or a failed solve), which has no gap; zero
+        # here is within 1e-9 of the largest exit rate
+        tol = 1e-9 * float(neg.diagonal().max())
+        if abs(values[0]) > tol or values[1] - values[0] <= tol:
+            raise SolverConvergenceError(
+                f"no simple zero mode on dimension {dim}: lowest eigenvalues "
+                f"{values[0]:.3g} and {values[1]:.3g}"
+            )
         gap = float(values[1])
         vec = vectors[:, 1]
     elif method == "iterative":

@@ -100,6 +100,15 @@ class OccupancyTrace:
         }
 
 
+# draws per refill of the event stream; the bounded-integer draws consume a
+# variable part of the generator, so the refill size fixes the results
+_CHUNK = 8192
+# draws turned into Python lists at a time, so short runs convert little
+_SUB_BLOCK = 256
+# (piece, vertex) cells per accumulation block: bounds the chunk temporaries
+_BLOCK_CELLS = 1 << 13
+
+
 def occupancy_stats(
     n: int,
     r: int,
@@ -117,6 +126,14 @@ def occupancy_stats(
 
     With ``record_path`` the trace's ``path`` holds the start and every
     move as (time, occupancy), for cross-checking accumulators.
+
+    The event walk is plain Python; numpy runs once per chunk of draws.
+    Results equal those of a loop adding each piece's length to the masked
+    empty vertices event by event: the draws come in the same order, each
+    constant-state piece is split at window boundaries by the same float
+    recurrences, and every per-vertex total is a sequential
+    ``np.add.accumulate`` over the pieces in order, adding 0.0 where the
+    vertex is occupied (``x + 0.0 == x``).
     """
     if n < 2 or r < 0:
         raise ValueError("need n >= 2 and r >= 0")
@@ -135,69 +152,59 @@ def occupancy_stats(
     window_length = (rho + 1.0) ** 2
     truncation = m_param * (rho + 1.0)
 
-    empty = np.zeros(n)
-    window_empty = np.zeros(n)
-    window_means: list[float] = []
+    sums = _EmptyTimes(n, truncation)
     next_boundary = window_length
     path = [(0.0, tuple(occ))] if record_path else None
 
     t = 0.0
+    t_accum = 0.0  # sum of the pieces; window splits make it drift from t
     events = 0
     # attempt formalism: total attempt rate n, source/destination uniform
     inv_rate = 1.0 / n
-    chunk = 8192
-    buf_v = buf_u = buf_e = None
-    bi = blen = 0
-    empty_mask = np.array([k == 0 for k in occ])
-
-    def _accumulate(dt: float):
-        nonlocal next_boundary
-        # split the constant-state interval across window boundaries
-        remaining = dt
-        while remaining > 0.0:
-            room = next_boundary - t_accum[0]
-            if room > remaining:
-                empty[empty_mask] += remaining
-                window_empty[empty_mask] += remaining
-                t_accum[0] += remaining
-                return
-            empty[empty_mask] += room
-            window_empty[empty_mask] += room
-            t_accum[0] += room
-            remaining -= room
-            window_means.append(
-                float(np.mean(np.minimum(window_empty, truncation)))
-            )
-            window_empty[:] = 0.0
-            next_boundary += window_length
-
-    t_accum = [0.0]
-    while True:
-        if bi == blen:
-            buf_v = rng.integers(0, n, chunk).tolist()
-            buf_u = rng.integers(0, n - 1, chunk).tolist()
-            buf_e = (rng.standard_exponential(chunk) * inv_rate).tolist()
-            bi = 0
-            blen = chunk
-        dt = buf_e[bi]
-        v = buf_v[bi]
-        u = buf_u[bi]
-        bi += 1
-        w = u + 1 if u >= v else u
-        if t + dt >= horizon:
-            _accumulate(horizon - t)
-            t = horizon
-            break
-        _accumulate(dt)
-        t += dt
-        events += 1
-        if occ[v] > 0:
-            occ[v] -= 1
-            occ[w] += 1
-            empty_mask[v] = occ[v] == 0
-            empty_mask[w] = False
-            if record_path:
-                path.append((t, tuple(occ)))
+    running = True
+    while running:
+        draws_v = rng.integers(0, n, _CHUNK)
+        draws_u = rng.integers(0, n - 1, _CHUNK)
+        draws_e = rng.standard_exponential(_CHUNK)
+        start_chunk = np.array(occ)
+        lengths = []  # constant-state pieces, in time order
+        closes = []  # piece counts at which a window closes
+        moves = []  # flat (piece index, v, w): the move precedes that piece
+        add_piece = lengths.append
+        for lo in range(0, _CHUNK, _SUB_BLOCK):
+            hi = lo + _SUB_BLOCK
+            for dt, v, u in zip((draws_e[lo:hi] * inv_rate).tolist(),
+                                draws_v[lo:hi].tolist(), draws_u[lo:hi].tolist()):
+                t_next = t + dt
+                if t_next >= horizon:
+                    dt = horizon - t
+                    running = False
+                # split the constant-state interval across window boundaries
+                while dt > 0.0:
+                    room = next_boundary - t_accum
+                    if room > dt:
+                        add_piece(dt)
+                        t_accum += dt
+                        break
+                    add_piece(room)
+                    t_accum += room
+                    dt -= room
+                    closes.append(len(lengths))
+                    next_boundary += window_length
+                if not running:
+                    break
+                t = t_next
+                events += 1
+                if occ[v] > 0:
+                    w = u + 1 if u >= v else u
+                    occ[v] -= 1
+                    occ[w] += 1
+                    moves += (len(lengths), v, w)
+                    if record_path:
+                        path.append((t, tuple(occ)))
+            if not running:
+                break
+        sums.add_chunk(start_chunk, lengths, closes, moves)
 
     return OccupancyTrace(
         n=n,
@@ -205,13 +212,74 @@ def occupancy_stats(
         horizon=float(horizon),
         seed=seed,
         start=start_occ,
-        empty_time=tuple(float(x) for x in empty),
+        empty_time=tuple(float(x) for x in sums.empty),
         window_length=window_length,
         truncation=truncation,
-        window_means=tuple(window_means),
+        window_means=tuple(sums.window_means),
         events=events,
         path=tuple(path) if record_path else None,
     )
+
+
+class _EmptyTimes:
+    """Per-vertex empty time, in total and in the open window.
+
+    ``add_chunk`` takes a chunk's constant-state pieces and rebuilds each
+    piece's empty vertices from the start occupancy and the moves (an
+    integer cumsum), in blocks of at most ``_BLOCK_CELLS`` cells.  Closing a
+    window appends the mean over vertices of its empty times capped at
+    ``truncation`` and restarts them from zero.
+    """
+
+    def __init__(self, n: int, truncation: float):
+        self.n = n
+        self.truncation = truncation
+        self.empty = np.zeros(n)
+        self.window = np.zeros(n)
+        self.window_means: list[float] = []
+
+    def add_chunk(self, occupancy, lengths, closes, moves) -> None:
+        n = self.n
+        count = len(lengths)
+        lengths = np.array(lengths)
+        moves = np.array(moves, dtype=np.int64).reshape(-1, 3)
+        block = max(1, _BLOCK_CELLS // n)
+        ci = 0
+        for b0 in range(0, count, block):
+            b1 = min(b0 + block, count)
+            m = b1 - b0
+            # moves preceding pieces b0..b1-1; one after the chunk's last
+            # piece is already in the next chunk's start occupancy
+            lo, hi = np.searchsorted(moves[:, 0], (b0, b1))
+            cells = (moves[lo:hi, 0] - b0) * n
+            delta = (np.bincount(cells + moves[lo:hi, 2], minlength=m * n)
+                     - np.bincount(cells + moves[lo:hi, 1], minlength=m * n))
+            occ = occupancy + np.cumsum(delta.reshape(m, n), axis=0)
+            occupancy = occ[-1]
+            # row 0 carries the running sum, row i + 1 piece b0 + i's increments
+            rows = np.empty((m + 1, n))
+            np.multiply(occ == 0, lengths[b0:b1, None], out=rows[1:])
+            rows[0] = self.empty
+            self.empty = np.add.accumulate(rows, axis=0)[-1]
+            s = 0
+            while ci < len(closes) and closes[ci] <= b1:
+                e = closes[ci] - b0
+                ci += 1
+                rows[s] = self.window
+                closed = np.add.accumulate(rows[s:e + 1], axis=0)[-1]
+                self.window_means.append(
+                    float(np.mean(np.minimum(closed, self.truncation)))
+                )
+                self.window = np.zeros(n)
+                s = e
+            if s < m:
+                rows[s] = self.window
+                self.window = np.add.accumulate(rows[s:], axis=0)[-1]
+
+
+# estimate_window_constant() with its default arguments, pinned so that
+# callers do not re-simulate its 800 windows for a fixed number
+WINDOW_CONSTANT = 0.5957828255027163
 
 
 def estimate_window_constant(

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -218,3 +221,46 @@ def test_estimate_relaxation_requires_samples():
     runs = _synthetic_runs(rng.exponential(1.0, 100))
     with pytest.raises(ValueError):
         estimate_relaxation(runs)
+
+
+# sha256 prefixes of repr() of the results of the loop that settled the
+# phase markers after every event; runs go through dataclasses.astuple
+def _digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def _runs_digest(runs):
+    return _digest([dataclasses.astuple(run) for run in runs])
+
+
+@pytest.mark.parametrize("n,r,replicas,seed,digest", [
+    (3, 3, 200, 11, "31f56f41ae54afb1"),
+    (4, 4, 200, 12, "10d37bf48a1109ec"),
+    (16, 16, 10, 13, "b502fafbbfd7147f"),
+])
+def test_coupling_times_match_pinned_digests(n, r, replicas, seed, digest):
+    assert _runs_digest(sample_coupling_times(n, r, replicas, seed)) == digest
+
+
+def test_marginal_matches_pinned_digest():
+    counts = sample_marginal(4, 3, 1.0, 300, 14)
+    assert _digest(sorted(counts.items())) == "7c12fbf99f299d5a"
+
+
+def test_observed_checked_runs_match_pinned_digest():
+    # observations before, at and past coalescence and the horizon, censored
+    # runs, and a pair that starts coalesced
+    runs = []
+    for seed in range(30):
+        runs.append(run_to_coalescence(point_mass(5, 6), seed, 50.0,
+                                       observe_times=(0.5, 3.0, 40.0, 80.0),
+                                       check_invariants=True))
+        runs.append(run_to_coalescence((1, 2, 0, 3), seed, 2.0,
+                                       observe_times=(5.0, 1.0),
+                                       check_invariants=True))
+        runs.append(run_to_coalescence((2, 0, 1), seed, 10.0, eta_prime0=(2, 0, 1),
+                                       observe_times=(0.0, 0.25, 7.5),
+                                       check_invariants=True))
+    assert sum(run.censored for run in runs) == 26
+    assert sum(len(run.observations) for run in runs) == 244
+    assert _runs_digest(runs) == "974b9b330cd3509d"

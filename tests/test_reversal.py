@@ -463,6 +463,16 @@ def test_rate_bounds_match_fraction_accumulation(n, j, monkeypatch):
         assert reversed_rate_bounds_hold(n, j) is reference_rate_bounds_hold(slowed)
 
 
+@pytest.mark.parametrize("n,j", [(3, 1), (4, 1), (4, 2), (5, 2)])
+def test_attempts_in_bound_holds_in_every_state(n, j):
+    # (eta+1)/(high+1) <= 1 + 1/eta reduces to this, so it needs no check
+    for state in reversed_attempt_rates(n, j).states:
+        if state != MERGED:
+            eta = state[0]
+            high = _high(state)
+            assert all(eta[v] <= high[v] + 1 for v in range(n))
+
+
 def test_survival_agreement_admits_the_chain_limit():
     chain = build_tagged_pair_chain(5, 6)
     assert 4000 < chain.size == 4201 <= DEFAULT_MAX_CHAIN_STATES

@@ -11,10 +11,12 @@ from zrpgap.configurations import (
     transitions,
     unrank_configuration,
 )
+from zrpgap.errors import SolverConvergenceError
 from zrpgap.graphs import Complete, Torus
 from zrpgap.seeding import make_generator
 from zrpgap.spectral import (
     DENSE_THRESHOLD,
+    Generator,
     build_generator,
     exact_gap,
     fit_decay_rate,
@@ -117,6 +119,33 @@ def test_dense_and_iterative_agree():
         assert iterative.method == "iterative"
         assert abs(dense.gap - iterative.gap) < 1e-10
         assert iterative.residual < 1e-10
+
+
+def test_k2_gap_matches_birth_death_closed_form():
+    # on K2 the first vertex's count is a reflecting walk on {0, ..., r}
+    # stepping each way at rate 1
+    for r in range(1, 41):
+        gen = build_generator(Complete(2), r)
+        exact = 2.0 * (1.0 - math.cos(math.pi / (r + 1)))
+        methods = ["dense", "iterative"] if gen.dimension >= 3 else ["dense"]
+        for method in methods:
+            assert abs(exact_gap(gen, method=method).gap - exact) <= 1e-10
+
+
+def test_dense_path_rejects_a_second_zero_mode():
+    # two disconnected copies of one chain: the zero eigenvalue is double
+    gen = build_generator(Complete(3), 2)
+    split = Generator(
+        graph=gen.graph,
+        particles=gen.particles,
+        configurations=gen.configurations * 2,
+        occupancies=np.vstack([gen.occupancies, gen.occupancies]),
+        matrix=sparse.block_diag([gen.matrix, gen.matrix], format="csr"),
+    )
+    assert split.dimension <= DENSE_THRESHOLD
+    with pytest.raises(SolverConvergenceError, match="no simple zero mode"):
+        exact_gap(split)
+    assert exact_gap(gen, method="dense").gap > 0
 
 
 def test_iterative_gap_of_multiplicity_two():

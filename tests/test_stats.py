@@ -4,9 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zrpgap.configurations import enumerate_configurations
+from zrpgap.configurations import (
+    enumerate_configurations,
+    random_configuration,
+    validate_configuration,
+)
 from zrpgap.seeding import derive_seed, make_generator, splitmix64
 from zrpgap.stats import (
+    WINDOW_CONSTANT,
+    OccupancyTrace,
     empty_probability_exact,
     estimate_window_constant,
     fit_exponential_tail,
@@ -75,6 +81,97 @@ def test_occupancy_accumulator_matches_grid_resimulation():
         t += delta
     tolerance = 3 * delta * (len(path) + 1)
     assert np.abs(grid - np.array(trace.empty_time)).max() <= tolerance
+
+
+def reference_occupancy_stats(n, r, horizon, seed, start="stationary",
+                              m_param=1.0, record_path=False):
+    """The event loop with masked per-event numpy updates."""
+    rng = make_generator(seed)
+    if start == "stationary":
+        occ = list(random_configuration(n, r, rng))
+    else:
+        occ = list(validate_configuration(start))
+    start_occ = tuple(occ)
+    rho = r / n
+    window_length = (rho + 1.0) ** 2
+    truncation = m_param * (rho + 1.0)
+    empty = np.zeros(n)
+    window_empty = np.zeros(n)
+    window_means = []
+    next_boundary = window_length
+    path = [(0.0, tuple(occ))] if record_path else None
+    t = 0.0
+    t_accum = 0.0
+    events = 0
+    inv_rate = 1.0 / n
+    chunk = 8192
+    bi = blen = 0
+    empty_mask = np.array([k == 0 for k in occ])
+
+    def accumulate(dt):
+        nonlocal next_boundary, t_accum
+        remaining = dt
+        while remaining > 0.0:
+            room = next_boundary - t_accum
+            if room > remaining:
+                empty[empty_mask] += remaining
+                window_empty[empty_mask] += remaining
+                t_accum += remaining
+                return
+            empty[empty_mask] += room
+            window_empty[empty_mask] += room
+            t_accum += room
+            remaining -= room
+            window_means.append(float(np.mean(np.minimum(window_empty, truncation))))
+            window_empty[:] = 0.0
+            next_boundary += window_length
+
+    while True:
+        if bi == blen:
+            buf_v = rng.integers(0, n, chunk).tolist()
+            buf_u = rng.integers(0, n - 1, chunk).tolist()
+            buf_e = (rng.standard_exponential(chunk) * inv_rate).tolist()
+            bi = 0
+            blen = chunk
+        dt, v, u = buf_e[bi], buf_v[bi], buf_u[bi]
+        bi += 1
+        w = u + 1 if u >= v else u
+        if t + dt >= horizon:
+            accumulate(horizon - t)
+            break
+        accumulate(dt)
+        t += dt
+        events += 1
+        if occ[v] > 0:
+            occ[v] -= 1
+            occ[w] += 1
+            empty_mask[v] = occ[v] == 0
+            empty_mask[w] = False
+            if record_path:
+                path.append((t, tuple(occ)))
+    return OccupancyTrace(
+        n=n, r=r, horizon=float(horizon), seed=seed, start=start_occ,
+        empty_time=tuple(float(x) for x in empty), window_length=window_length,
+        truncation=truncation, window_means=tuple(window_means), events=events,
+        path=tuple(path) if record_path else None,
+    )
+
+
+@pytest.mark.parametrize("n,r,horizon,seed,kwargs", [
+    # r = 0: every vertex always empty, a window boundary every 8 events
+    (8, 0, 300.0, 21, {}),
+    (2, 3, 5000.0, 22, {}),  # K2 over two chunks of draws
+    (2, 0, 40.0, 23, {}),
+    (5, 7, 1e-5, 24, {}),  # the horizon comes before the first event
+    (64, 64, 40.0, 25, {}),  # several accumulation blocks per chunk
+    (3, 2, 40.0, 26, {"record_path": True}),
+    (4, 4, 2500.0, 27, {"start": (4, 0, 0, 0), "m_param": 0.5}),
+    (4, 4, 4.0, 28, {}),  # one window ending exactly at the horizon
+])
+def test_occupancy_matches_masked_update_loop(n, r, horizon, seed, kwargs):
+    trace = occupancy_stats(n, r, horizon, seed, **kwargs)
+    assert trace == reference_occupancy_stats(n, r, horizon, seed, **kwargs)
+    assert (trace.events == 0) == (horizon < 1e-3)
 
 
 def test_occupancy_windows_truncated():
@@ -224,3 +321,7 @@ def test_fit_input_validation():
 def test_window_constant_estimate_positive():
     c = estimate_window_constant(grid=((4, 1), (6, 2)), replicas=60, seed=77)
     assert 0.05 < c < 2.0
+
+
+def test_window_constant_is_the_default_estimate():
+    assert estimate_window_constant() == WINDOW_CONSTANT
