@@ -407,11 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, seed=None):
+    def add_common(p, seed=None, max_states=False):
         """``seed``: None for no --seed flag, else whether it is required."""
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--config", default=None, help="JSON config file; flags override")
-        p.add_argument("--max-states", dest="max_states", type=int, default=200_000)
+        if max_states:
+            p.add_argument("--max-states", dest="max_states", type=int, default=200_000)
         if seed is not None:
             p.add_argument("--seed", type=int, default=None, required=seed)
 
@@ -426,14 +427,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rho", default=None)
 
     p = sub.add_parser("exact-gap", help="exact spectral gap and relaxation time")
-    add_common(p)
+    add_common(p, max_states=True)
     add_graph(p)
     add_particles(p)
     p.add_argument("--method", choices=["auto", "dense", "iterative"], default="auto")
     p.set_defaults(func=_cmd_exact_gap)
 
     p = sub.add_parser("tv-curve", help="total variation distance to uniform over time")
-    add_common(p)
+    add_common(p, max_states=True)
     add_graph(p)
     add_particles(p)
     p.add_argument("--t-max", dest="t_max", type=float, default=10.0)
@@ -442,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tv_curve)
 
     p = sub.add_parser("wilson", help="cosine test-function bounds on the gap")
-    add_common(p, seed=False)
+    add_common(p, seed=False, max_states=True)
     add_graph(p)
     add_particles(p)
     p.add_argument("--variant", choices=list(WILSON_VARIANTS) + ["both"], default="both")
@@ -458,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_flow)
 
     p = sub.add_parser("certificate", help="comparison certificate, optionally with tau2")
-    add_common(p)
+    add_common(p, max_states=True)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--r", type=int, default=None,
@@ -476,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_couple)
 
     p = sub.add_parser("zeta-balance", help="exact balance residuals of the tagged chain")
-    add_common(p)
+    add_common(p, max_states=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, required=True, help="high-priority particle count")
     p.add_argument("--dump-chain", dest="dump_chain", action="store_true")
@@ -519,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tails)
 
     p = sub.add_parser("sweep", help="grid sweep of a subcommand over d, L, rho")
-    add_common(p)
+    add_common(p, max_states=True)
     p.add_argument("--task", choices=["exact-gap", "wilson"], default="exact-gap")
     p.add_argument("--d-values", dest="d_values", type=_int_list, default=[1])
     p.add_argument("--L-values", dest="L_values", type=_int_list, required=True)

@@ -140,9 +140,6 @@ class CoupledState:
         self._stage_start = 0.0
         _settle(self)
 
-    def configurations(self):
-        return self.one.occupancy(), self.two.occupancy()
-
 
 def _settle(state: CoupledState) -> None:
     """Advance phase/stage markers while their end conditions already hold."""
@@ -385,11 +382,10 @@ def sample_coupling_times(
     replicas: int,
     seed: int,
     horizon: float | None = None,
-    eta0=None,
 ) -> list[CouplingRun]:
     """Independent coupling runs with per-replica derived seeds.
 
-    Copy one starts from ``eta0`` (all particles on one vertex by default),
+    Copy one starts with all particles on one vertex (:func:`point_mass`),
     copy two from a fresh uniform sample each replica.  Results depend only
     on (master seed, replica index), never on scheduling order.
     """
@@ -397,12 +393,8 @@ def sample_coupling_times(
         raise ValueError("need at least one replica")
     if horizon is None:
         horizon = default_horizon(n, r, replicas)
-    if eta0 is None:
-        eta0 = point_mass(n, r)
-    runs = []
-    for i in range(replicas):
-        runs.append(run_to_coalescence(eta0, derive_seed(seed, i), horizon))
-    return runs
+    eta0 = point_mass(n, r)
+    return [run_to_coalescence(eta0, derive_seed(seed, i), horizon) for i in range(replicas)]
 
 
 def sample_marginal(
@@ -411,11 +403,10 @@ def sample_marginal(
     at_time: float,
     replicas: int,
     seed: int,
-    eta0=None,
 ) -> dict[tuple[int, ...], int]:
-    """Empirical law of copy one at a fixed time, across replicas."""
-    if eta0 is None:
-        eta0 = point_mass(n, r)
+    """Empirical law of copy one at a fixed time, across replicas, started
+    from :func:`point_mass`."""
+    eta0 = point_mass(n, r)
     counts: dict[tuple[int, ...], int] = {}
     horizon = at_time + 1.0
     for i in range(replicas):
@@ -457,11 +448,11 @@ class RelaxationEstimate:
 def estimate_relaxation(
     runs,
     min_uncensored: int = 1000,
-    max_censored_fraction: float = 0.05,
     bootstrap: int = 1000,
     seed: int = 0,
 ) -> RelaxationEstimate:
-    """Fit the exponential tail of sampled coupling times."""
+    """Fit the exponential tail of sampled coupling times; more than 5%
+    censored runs is too many for a tail fit."""
     times = [run.coupling_time for run in runs if not run.censored]
     censored = sum(1 for run in runs if run.censored)
     if len(times) < min_uncensored:
@@ -469,7 +460,7 @@ def estimate_relaxation(
             f"need at least {min_uncensored} uncensored runs, got {len(times)}"
         )
     frac = censored / len(runs)
-    if frac > max_censored_fraction:
+    if frac > 0.05:
         raise ValueError(f"censoring rate {frac:.3f} too high for a tail fit")
     fit = fit_exponential_tail(times, n_censored=censored, bootstrap=bootstrap, seed=seed)
     return RelaxationEstimate(

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .configurations import enumerate_configurations
+from .configurations import configuration_count, enumerate_configurations
 from .errors import CapacityError
 from .graphs import Torus, all_pairs_bfs, bfs_distance_counts
 
@@ -243,7 +243,7 @@ class InducedFlowCheck:
     congestion_vertex: Fraction
 
 
-def induced_flow_check(graph: Torus, r: int, max_states: int = 50_000) -> InducedFlowCheck:
+def induced_flow_check(graph: Torus, r: int) -> InducedFlowCheck:
     """Route the induced flow explicitly on the configuration graph.
 
     Every ordered complete-graph transition (eta, eta') moving one particle
@@ -259,15 +259,18 @@ def induced_flow_check(graph: Torus, r: int, max_states: int = 50_000) -> Induce
     N(u, v).  The configuration edge a step (a, b) is lifted to depends on
     zeta but not on the target v, so each source's paths are first collapsed
     into one numerator per vertex edge.
+
+    Instances with more than 2,000,000 routed (configuration, u, v) pairs or
+    50,000 configurations are refused before any configuration is built.
     """
     if r < 1:
         raise ValueError("need at least one particle")
     n = graph.vertex_count
-    configs = enumerate_configurations(n, r, limit=max_states)
-    index = {c: i for i, c in enumerate(configs)}
-    pair_count = len(configs) * n * (n - 1)
+    pair_count = configuration_count(n, r) * n * (n - 1)
     if pair_count > 2_000_000:
         raise CapacityError(f"{pair_count} routed pairs exceed the capacity limit")
+    configs = enumerate_configurations(n, r, limit=50_000)
+    index = {c: i for i, c in enumerate(configs)}
     dists, counts = all_pairs_bfs(graph)
     common = math.lcm(*(c for row in counts for c in row))
     mult = {(a, b): graph.neighbors(a).count(b) for a, b in _directed_edges(graph)}

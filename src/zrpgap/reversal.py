@@ -48,7 +48,7 @@ from scipy import sparse
 from .configurations import enumerate_configurations
 from .errors import CapacityError
 from .seeding import derive_seed, make_generator
-from .spectral import UNIFORMIZATION_TAIL, _uniformize
+from .spectral import _uniformize
 from .stats import MCEstimate
 
 MERGED = "merged"
@@ -622,13 +622,13 @@ def drift_check(
     seed: int,
     c_const: float,
     t_ref: float = 5.0,
-    horizon: float = 1e9,
 ) -> DriftCheck:
     """Average per-time increment of the compensated ladder functional.
 
     The functional (ladder potential + jump account - alpha * failed boosts
     + drift compensator) stopped at the balanced set is a submartingale, so
     its mean increment over [0, t_ref] should be non-negative up to noise.
+    Each run stops at min(t_ref, 1e9), its horizon.
     """
     if replicas < 2:
         raise ValueError("need at least two replicas for a standard error")
@@ -638,7 +638,7 @@ def drift_check(
     increments = np.empty(replicas)
     for i in range(replicas):
         run = simulate_reversed_hitting(
-            chain, derive_seed(seed, i), horizon, c_const, t_ref=t_ref
+            chain, derive_seed(seed, i), 1e9, c_const, t_ref=t_ref
         )
         increments[i] = run.drift_increment
     mean = float(increments.mean()) / t_ref
@@ -680,17 +680,16 @@ class SurvivalAgreement:
     sup_difference: float
 
 
-def survival_agreement(
-    chain: TaggedPairChain, times, max_states: int = DEFAULT_MAX_CHAIN_STATES
-) -> SurvivalAgreement:
+def survival_agreement(chain: TaggedPairChain, times) -> SurvivalAgreement:
     """Exact P(hitting time > t) under forward vs reversed dynamics, from pi.
 
     Both directions are started from the normalized stationary weights and
     absorbed on the balanced set; the two survival curves agree identically,
-    which is the reversal identity this module is built around.
+    which is the reversal identity this module is built around.  Chains
+    above ``DEFAULT_MAX_CHAIN_STATES`` states are refused.
     """
-    if chain.size > max_states:
-        raise CapacityError(f"{chain.size} states exceed the limit {max_states}")
+    if chain.size > DEFAULT_MAX_CHAIN_STATES:
+        raise CapacityError(f"{chain.size} states exceed the limit {DEFAULT_MAX_CHAIN_STATES}")
     absorbed = set(balanced_states(chain))
     keep = [i for i in range(chain.size) if i not in absorbed]
     times = np.asarray(times, dtype=float)
@@ -701,7 +700,7 @@ def survival_agreement(
         rates = _float_rates(direction)
         generator = rates - sparse.diags(np.asarray(rates.sum(axis=1)).ravel())
         block = generator[keep][:, keep]
-        mass = _uniformize(block, start, times, UNIFORMIZATION_TAIL, 1_000_000)
+        mass = _uniformize(block, start, times)
         curves.append(mass.sum(axis=1))
     fwd, rev = curves
     return SurvivalAgreement(

@@ -29,7 +29,7 @@ def derive_seed(master: int, index: int) -> int:
     return splitmix64((master + index * _GOLDEN) & _MASK)
 
 
-def make_generator(master: int, index: int | None = None) -> np.random.Generator:
-    """PCG64 generator for a master seed, or for one derived replica."""
-    seed = (master & _MASK) if index is None else derive_seed(master, index)
-    return np.random.Generator(np.random.PCG64(seed))
+def make_generator(seed: int) -> np.random.Generator:
+    """PCG64 generator for a seed taken mod 2**64; a replica's stream is
+    ``make_generator(derive_seed(master, index))``."""
+    return np.random.Generator(np.random.PCG64(seed & _MASK))

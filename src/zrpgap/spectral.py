@@ -37,7 +37,10 @@ from .stats import empty_probability_exact, occupancy_marginal_moments
 # (2-7 ms) between about 120 and 220 states on a 2-core x86 machine; above
 # that the cubic dense solve loses fast (34 ms against 5 ms at 462 states).
 DENSE_THRESHOLD = 200
+# Poisson mass left out of a uniformization series, and the most terms it
+# may take before the run is refused as a capacity error
 UNIFORMIZATION_TAIL = 1e-12
+UNIFORMIZATION_MAX_TERMS = 1_000_000
 
 
 @dataclass
@@ -217,7 +220,9 @@ def exact_gap(gen: Generator, method: str = "auto") -> SpectralReport:
 # Transient analysis by uniformization
 # ---------------------------------------------------------------------------
 
-def _uniformize(matrix, start_vector, times, tail_tol, max_terms) -> np.ndarray:
+def _uniformize(
+    matrix, start_vector, times, tail_tol=UNIFORMIZATION_TAIL, max_terms=UNIFORMIZATION_MAX_TERMS
+) -> np.ndarray:
     """Row vector ``start_vector @ exp(t Q)`` at each time, ``Q = matrix``.
 
     Uniformization: with rate Lambda = max exit rate (the largest -Q(x, x)),
@@ -250,17 +255,11 @@ def _uniformize(matrix, start_vector, times, tail_tol, max_terms) -> np.ndarray:
     return out
 
 
-def transient_distribution(
-    gen: Generator,
-    start,
-    times,
-    tail_tol: float = UNIFORMIZATION_TAIL,
-    max_terms: int = 1_000_000,
-) -> np.ndarray:
+def transient_distribution(gen: Generator, start, times) -> np.ndarray:
     """Distribution at each requested time from a point start.
 
     Computed by uniformization; the result is left unnormalized, biasing
-    each probability by at most ``tail_tol``.
+    each probability by at most ``UNIFORMIZATION_TAIL``.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
@@ -268,7 +267,7 @@ def transient_distribution(
     start_idx = start if isinstance(start, int) else gen.config_index(start)
     point = np.zeros(gen.dimension)
     point[start_idx] = 1.0
-    return _uniformize(gen.matrix, point, times, tail_tol, max_terms)
+    return _uniformize(gen.matrix, point, times)
 
 
 @dataclass(frozen=True)
@@ -289,10 +288,10 @@ class TVCurve:
         return "\n".join(lines) + "\n"
 
 
-def tv_curve(gen: Generator, start, times, tail_tol: float = UNIFORMIZATION_TAIL) -> TVCurve:
+def tv_curve(gen: Generator, start, times) -> TVCurve:
     """Total variation distance to uniform at each time, from a point start."""
     start = validate_configuration(start, gen.graph)
-    dists = transient_distribution(gen, start, times, tail_tol=tail_tol)
+    dists = transient_distribution(gen, start, times)
     uniform = 1.0 / gen.dimension
     tv = 0.5 * np.abs(dists - uniform).sum(axis=1)
     return TVCurve(

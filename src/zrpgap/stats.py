@@ -284,7 +284,6 @@ WINDOW_CONSTANT = 0.5957828255027163
 
 def estimate_window_constant(
     grid=((4, 1), (4, 2), (8, 1), (8, 2)),
-    m_param: float = 1.0,
     replicas: int = 200,
     seed: int = 20260809,
 ) -> float:
@@ -292,9 +291,10 @@ def estimate_window_constant(
 
     For each (n, rho) grid point, runs ``replicas`` windows of length
     (rho+1)^2 from stationary starts and averages min(empty time,
-    m_param*(rho+1))/(rho+1) over vertices whose initial occupancy is at
-    most 2(rho+1).  Returns the grid minimum: the best constant C such that
-    the truncated mean empty time is >= C*(rho+1) held on the whole grid.
+    rho+1)/(rho+1), the default truncation of :func:`occupancy_stats`,
+    over vertices whose initial occupancy is at most 2(rho+1).  Returns the
+    grid minimum: the best constant C such that the truncated mean empty
+    time is >= C*(rho+1) held on the whole grid.
     """
     best = math.inf
     case = 0
@@ -320,16 +320,16 @@ def estimate_window_constant(
 # Poisson-difference (Skellam) tables
 # ---------------------------------------------------------------------------
 
-def skellam_tail(lam: float, m: int, tol: float = 1e-14) -> float:
+def skellam_tail(lam: float, m: int) -> float:
     """Exact P(X - Y >= m) for independent X, Y ~ Poisson(lam).
 
     Direct double series: sum_x P(X=x) P(Y <= x-m), truncated where the
-    Poisson tail drops below ``tol``.  Bessel evaluation is available as a
+    Poisson tail drops below 1e-14.  Bessel evaluation is available as a
     cross-check in :func:`skellam_tail_bessel`.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    kmax = int(sps.poisson.isf(tol / 4.0, lam)) + 2
+    kmax = int(sps.poisson.isf(1e-14 / 4.0, lam)) + 2
     if kmax > 10_000_000:
         raise ValueError("truncation budget exceeded")
     xs = np.arange(kmax + 1)
@@ -433,7 +433,9 @@ def rw_no_return_probability(r: float, replicas: int, seed: int) -> MCEstimate:
     while pos.size:
         m = pos.size
         next_t = last_t + rng.exponential(0.5, m)
-        step = rng.integers(0, 2, m).astype(np.int64) * 2 - 1
+        step = rng.integers(0, 2, m)  # int64 draws, made +-1 in place
+        step *= 2
+        step -= 1
         # interval [last_t, next_t) held pos; it kills the event when pos == 0
         # and the interval meets [1, r^2]
         dead = (pos == 0) & (next_t > 1.0) & (last_t <= r2)
@@ -503,7 +505,6 @@ def fit_exponential_tail(
     window=(0.5, 0.99),
     bootstrap: int = 1000,
     seed: int = 0,
-    r2_threshold: float = 0.98,
 ) -> TailFit:
     """Fit an exponential rate to the upper tail of positive samples.
 
@@ -513,7 +514,7 @@ def fit_exponential_tail(
     right-censored observations (at a horizon beyond the fit window) enter
     the survival denominator.  The confidence interval is a nonparametric
     bootstrap percentile interval, and a heavy-tail flag is raised when the
-    window fit explains less than ``r2_threshold`` of the variance.
+    window fit explains less than 98% of the variance.
     """
     values = np.asarray(samples, dtype=float)
     if values.ndim != 1 or values.size == 0:
@@ -546,5 +547,5 @@ def fit_exponential_tail(
         r_squared=float(r2),
         n_uncensored=int(values.size),
         n_censored=int(n_censored),
-        heavy_tail_flag=bool(r2 < r2_threshold),
+        heavy_tail_flag=bool(r2 < 0.98),
     )

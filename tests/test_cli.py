@@ -1,5 +1,8 @@
+import argparse
 import hashlib
+import inspect
 import json
+import re
 
 import pytest
 
@@ -104,6 +107,56 @@ def test_capacity_exit_code(tmp_path):
         tmp_path, "cap",
     )
     assert code == 2
+
+
+def test_max_states_limits_exact_gap(tmp_path):
+    code, _ = run_cli(
+        ["exact-gap", "--graph", "complete", "--n", "3", "--r", "3", "--max-states", "5"],
+        tmp_path, "limit",
+    )
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "flow --d 1 --L 4",
+        "couple --n 4 --r 4 --replicas 300 --seed 1 --bootstrap 0",
+        "reversal-w --n 4 --j 1 --replicas 10 --seed 1",
+        "drift --n 4 --j 1 --replicas 10 --seed 1",
+        "occupancy --n 4 --r 4 --horizon 10 --seed 1",
+        "tails --kind skellam --lam 1",
+    ],
+)
+def test_max_states_rejected_where_no_handler_reads_it(args, tmp_path):
+    code, out = run_cli(args.split() + ["--max-states", "5"], tmp_path, "nolimit")
+    assert code == 1
+    assert not out.exists()
+
+
+def test_every_flag_is_read():
+    """Each subcommand's flags reach its handler, the graph and particle
+    resolvers or ``main`` (help, --out and --config are handled by argparse
+    and ``main``'s output path)."""
+    parser = cli.build_parser()
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    shared = "".join(
+        inspect.getsource(f)
+        for f in (cli._resolve_graph, cli._resolve_particles, cli.main)
+    )
+    unread = []
+    for name, sub in subparsers.choices.items():
+        source = inspect.getsource(sub.get_default("func")) + shared
+        for action in sub._actions:
+            dest = action.dest
+            if dest in ("help", "out", "config"):
+                continue
+            pattern = rf"args\.{dest}\b|getattr\(args, \"{dest}\""
+            if not re.search(pattern, source):
+                unread.append(f"{name} {dest}")
+    assert unread == []
 
 
 def test_sweep_success_and_partial(tmp_path):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from zrpgap import flow, graphs
+from zrpgap.errors import CapacityError
 from zrpgap.flow import (
     CERTIFICATE_CSV_HEADER,
     all_shortest_paths,
@@ -159,6 +160,16 @@ def test_induced_flow_identity(d, L, r):
     assert check.per_edge_equal
     assert check.max_config_flow == check.predicted_flow
     assert check.congestion_config == check.congestion_vertex
+
+
+def test_induced_flow_refuses_before_enumerating(monkeypatch):
+    # Torus(2, 4) with r = 5: 15,504 configurations, 3.7 M routed pairs
+    def refuse(*args, **kwargs):
+        raise AssertionError("configurations enumerated before the capacity check")
+
+    monkeypatch.setattr(flow, "enumerate_configurations", refuse)
+    with pytest.raises(CapacityError, match="routed pairs"):
+        induced_flow_check(Torus(2, 4), 5)
 
 
 def test_all_shortest_paths_enumeration():

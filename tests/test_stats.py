@@ -30,8 +30,8 @@ def test_seed_derivation_is_stable():
     # pinned values guard cross-platform reproducibility of every stream
     assert splitmix64(0) == 16294208416658607535
     assert derive_seed(12345, 0) != derive_seed(12345, 1)
-    g1 = make_generator(7, 3)
-    g2 = make_generator(7, 3)
+    g1 = make_generator(derive_seed(7, 3))
+    g2 = make_generator(derive_seed(7, 3))
     assert g1.integers(0, 1 << 30) == g2.integers(0, 1 << 30)
 
 
@@ -262,6 +262,13 @@ def test_rw_no_return_r1_closed_form():
     est = rw_no_return_probability(1, 60_000, seed=5)
     exact = 1.0 - 0.3085083225536709
     assert abs(est.value - exact) <= 3 * est.stderr
+
+
+def test_rw_no_return_stream_is_pinned():
+    # the hit count of a fixed seed: changing how the steps are built from
+    # the draws must not change the walks
+    est = rw_no_return_probability(4, 20_000, seed=5)
+    assert est.value * 20_000 == 2942
 
 
 def test_rw_no_return_decreasing_in_r():
