@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .configurations import configuration_count, enumerate_configurations
+from .configurations import configuration_count, enumerate_configurations, move_ranks
 from .errors import CapacityError
 from .graphs import Torus, all_pairs_bfs, bfs_distance_counts
 
@@ -269,8 +269,7 @@ def induced_flow_check(graph: Torus, r: int) -> InducedFlowCheck:
     pair_count = configuration_count(n, r) * n * (n - 1)
     if pair_count > 2_000_000:
         raise CapacityError(f"{pair_count} routed pairs exceed the capacity limit")
-    configs = enumerate_configurations(n, r, limit=50_000)
-    index = {c: i for i, c in enumerate(configs)}
+    occ = enumerate_configurations(n, r, limit=50_000)
     dists, counts = all_pairs_bfs(graph)
     common = math.lcm(*(c for row in counts for c in row))
     mult = {(a, b): graph.neighbors(a).count(b) for a, b in _directed_edges(graph)}
@@ -290,23 +289,18 @@ def induced_flow_check(graph: Torus, r: int) -> InducedFlowCheck:
         routed.append(list(shares.items()))
 
     flows: dict[tuple[int, int], int] = {}
-    for occ in configs:
-        for u in range(n):
-            if occ[u] == 0:
-                continue
-            base = list(occ)
-            base[u] -= 1
-            lifted = []  # lifted[w]: index of the configuration zeta + chi_w
-            for w in range(n):
-                base[w] += 1
-                lifted.append(index[tuple(base)])
-                base[w] -= 1
+    for u in range(n):
+        # one row per configuration with u occupied; lifted[w] is the index
+        # of zeta + chi_w, the configuration after the particle moves u -> w
+        _, ranks = move_ranks(occ, u, range(n))
+        for lifted in ranks.T.tolist():
             for (a, b), share in routed[u]:
                 edge = (lifted[a], lifted[b])
                 flows[edge] = flows.get(edge, 0) + share
 
     loads = _edge_loads(graph, dists, counts)
     targets = {edge: load * common for edge, load in loads.directed.items()}
+    configs = occ.tolist()
     per_edge_equal = True
     for (i, k), flow in flows.items():
         diff = [x - y for x, y in zip(configs[k], configs[i])]

@@ -120,7 +120,7 @@ def _tagged_space(n: int, high_count: int, max_states: int):
     size = n * (n - 1) * math.comb(n + high_count - 1, high_count) + 1
     if size > max_states:
         raise CapacityError(f"{size} chain states exceed the limit {max_states}")
-    highs = enumerate_configurations(n, high_count, limit=max_states)
+    highs = enumerate_configurations(n, high_count, limit=max_states).tolist()
     states = [MERGED]
     for s in range(n):
         for t in range(n):

@@ -25,7 +25,9 @@ from .configurations import (
     DEFAULT_MAX_CONFIGURATIONS,
     configuration_count,
     enumerate_configurations,
+    move_ranks,
     random_configuration,
+    rank_configuration,
     validate_configuration,
 )
 from .errors import CapacityError, SolverConvergenceError
@@ -41,59 +43,38 @@ DENSE_THRESHOLD = 200
 # may take before the run is refused as a capacity error
 UNIFORMIZATION_TAIL = 1e-12
 UNIFORMIZATION_MAX_TERMS = 1_000_000
+# Poisson weights are evaluated this many terms at a time, so their table
+# stays small however long the series runs
+UNIFORMIZATION_BLOCK = 1024
 
 
 @dataclass
 class Generator:
     """Sparse symmetric rate matrix over the enumerated configuration space.
 
-    ``occupancies`` is ``configurations`` as an ``(N, n)`` integer array.
+    Row i of the ``(N, n)`` array ``occupancies`` is the configuration of
+    rank i, which is index i of the matrix.
     """
 
     graph: GraphSpec
     particles: int
-    configurations: list[tuple[int, ...]]
     occupancies: np.ndarray
     matrix: sparse.csr_matrix
-    _index: dict | None = None
 
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
+    @property
+    def configurations(self) -> list[tuple[int, ...]]:
+        """The rows of ``occupancies`` as tuples, in index order."""
+        return [tuple(row) for row in self.occupancies.tolist()]
+
     def config_index(self, occ) -> int:
-        if self._index is None:
-            self._index = {c: i for i, c in enumerate(self.configurations)}
         occ = validate_configuration(occ, self.graph)
-        try:
-            return self._index[occ]
-        except KeyError:
+        if sum(occ) != self.particles:
             raise ValueError(f"{occ} is not a configuration of this generator")
-
-
-def _rank_table(n: int, r: int) -> np.ndarray:
-    """``table[m, x] = C(x + m, m)`` for ``m < n`` and ``x <= r``.
-
-    Row m is the running sum of row m - 1 (Pascal's rule), and every entry is
-    at most C(r + n - 1, n - 1), the size of the space, so int64 is exact.
-    """
-    table = np.ones((n, r + 1), dtype=np.int64)
-    for m in range(1, n):
-        np.cumsum(table[m - 1], out=table[m])
-    return table
-
-
-def _lex_ranks(occ: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """:func:`rank_configuration` of every row of ``occ``, vectorized.
-
-    With ``rem_i`` the particles at positions >= i and ``m = n - i - 1``,
-    position i contributes sum_{b < occ_i} C(rem_i - b + m - 1, m - 1), which
-    by the hockey-stick identity is ``table[m, rem_i] - table[m, rem_{i+1}]``.
-    """
-    n = occ.shape[1]
-    rem = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]
-    m = np.arange(n - 1, 0, -1)
-    return (table[m, rem[:, :-1]] - table[m, rem[:, 1:]]).sum(axis=1)
+        return rank_configuration(occ)
 
 
 def build_generator(graph: GraphSpec, r: int, max_states: int = DEFAULT_MAX_CONFIGURATIONS) -> Generator:
@@ -104,21 +85,15 @@ def build_generator(graph: GraphSpec, r: int, max_states: int = DEFAULT_MAX_CONF
     degenerate torus) add up.  The diagonal is minus the row sum.
     """
     n = graph.vertex_count
-    configs = enumerate_configurations(n, r, limit=max_states)
-    occ = np.array(configs, dtype=np.int64)
-    dim = len(configs)
-    table = _rank_table(n, r)
+    occ = enumerate_configurations(n, r, limit=max_states)
+    dim = len(occ)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     for v in range(n):
-        src = np.flatnonzero(occ[:, v])
-        moved = occ[src]
-        moved[:, v] -= 1
-        for w in graph.neighbors(v):
-            moved[:, w] += 1
-            rows.append(src)
-            cols.append(_lex_ranks(moved, table))
-            moved[:, w] -= 1
+        targets = graph.neighbors(v)
+        src, ranks = move_ranks(occ, v, targets)
+        rows.append(np.tile(src, len(targets)))
+        cols.append(ranks.ravel())
     diag = np.arange(dim)
     rows_all = np.concatenate([diag, *rows])
     vals = np.full(rows_all.size, 1.0 / graph.degree)
@@ -126,9 +101,7 @@ def build_generator(graph: GraphSpec, r: int, max_states: int = DEFAULT_MAX_CONF
     matrix = sparse.csr_matrix(
         (vals, (rows_all, np.concatenate([diag, *cols]))), shape=(dim, dim)
     )
-    return Generator(
-        graph=graph, particles=r, configurations=configs, occupancies=occ, matrix=matrix
-    )
+    return Generator(graph=graph, particles=r, occupancies=occ, matrix=matrix)
 
 
 @dataclass(frozen=True)
@@ -244,19 +217,19 @@ def _uniformize(
         raise CapacityError(
             f"uniformization needs {kmax} terms, exceeding the {max_terms} budget"
         )
-    weights = sps.poisson.pmf(
-        np.arange(kmax + 1)[:, None], lam * times[None, :]
-    )
     mu = np.array(start_vector, dtype=float)
-    for k in range(kmax + 1):
-        out += weights[k][:, None] * mu[None, :]
-        if k < kmax:
-            mu = kernel.T @ mu
+    for first in range(0, kmax + 1, UNIFORMIZATION_BLOCK):
+        ks = range(first, min(first + UNIFORMIZATION_BLOCK, kmax + 1))
+        weights = sps.poisson.pmf(np.array(ks)[:, None], lam * times[None, :])
+        for k, weight in zip(ks, weights):
+            out += weight[:, None] * mu[None, :]
+            if k < kmax:
+                mu = kernel.T @ mu
     return out
 
 
 def transient_distribution(gen: Generator, start, times) -> np.ndarray:
-    """Distribution at each requested time from a point start.
+    """Distribution at each requested time from the configuration ``start``.
 
     Computed by uniformization; the result is left unnormalized, biasing
     each probability by at most ``UNIFORMIZATION_TAIL``.
@@ -264,9 +237,8 @@ def transient_distribution(gen: Generator, start, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ValueError("times must be non-negative")
-    start_idx = start if isinstance(start, int) else gen.config_index(start)
     point = np.zeros(gen.dimension)
-    point[start_idx] = 1.0
+    point[gen.config_index(start)] = 1.0
     return _uniformize(gen.matrix, point, times)
 
 

@@ -35,25 +35,19 @@ def empty_probability_exact(n: int, r: int) -> Fraction:
         raise ValueError("need n >= 2")
     if r < 0:
         raise ValueError("need r >= 0")
-    count_empty = math.comb(n - 2 + r, r)
-    count_all = math.comb(n - 1 + r, r)
-    value = Fraction(count_empty, count_all)
-    assert value == Fraction(n - 1, n + r - 1)
-    return value
+    return Fraction(n - 1, n + r - 1)
 
 
 def occupancy_marginal_moments(n: int, r: int) -> tuple[Fraction, Fraction]:
-    """Exact (E[eta(v)], E[eta(v)^2]) for one vertex under the uniform law."""
+    """Exact (E[eta(v)], E[eta(v)^2]) for one vertex under the uniform law.
+
+    E[eta] = r/n by exchangeability, and E[eta^2] = r(n+2r-1)/(n(n+1))
+    follows from E[(eta+1)(eta+2)] = 2(n+r)(n+r+1)/(n(n+1)), a Vandermonde
+    sum over the marginal P(eta(v) = k) = C(n+r-k-2, r-k) / C(n+r-1, r).
+    """
     if n < 2:
         raise ValueError("need n >= 2")
-    total = math.comb(n + r - 1, r)
-    e1 = Fraction(0)
-    e2 = Fraction(0)
-    for k in range(1, r + 1):
-        ways = math.comb(n - 2 + r - k, r - k)
-        e1 += Fraction(k * ways, total)
-        e2 += Fraction(k * k * ways, total)
-    return e1, e2
+    return Fraction(r, n), Fraction(r * (n + 2 * r - 1), n * (n + 1))
 
 
 # ---------------------------------------------------------------------------

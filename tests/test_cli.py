@@ -3,6 +3,8 @@ import hashlib
 import inspect
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +159,27 @@ def test_every_flag_is_read():
             if not re.search(pattern, source):
                 unread.append(f"{name} {dest}")
     assert unread == []
+
+
+def test_readme_commands_parse():
+    """Every ``zrpgap`` line of the README's shell blocks parses (nothing
+    runs), so an example that drifts from the flags fails here."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [
+        line
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+        if line.startswith("zrpgap ")
+    ]
+    assert lines
+    parser = cli.build_parser()
+    rejected = []
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            rejected.append(line)
+    assert rejected == []
 
 
 def test_sweep_success_and_partial(tmp_path):

@@ -2,12 +2,16 @@ import math
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from scipy import stats as sps
 
 from zrpgap.configurations import (
+    _lex_ranks,
+    _rank_table,
     configuration_count,
     enumerate_configurations,
+    move_ranks,
     random_configuration,
     rank_configuration,
     transitions,
@@ -24,11 +28,12 @@ def brute_force_enumeration(n, r):
 
 
 def test_enumeration_examples():
-    assert enumerate_configurations(2, 2) == [(0, 2), (1, 1), (2, 0)]
-    assert enumerate_configurations(3, 0) == [(0, 0, 0)]
+    assert enumerate_configurations(2, 2).tolist() == [[0, 2], [1, 1], [2, 0]]
+    assert enumerate_configurations(3, 0).tolist() == [[0, 0, 0]]
+    assert enumerate_configurations(1, 4).tolist() == [[4]]
     configs = enumerate_configurations(3, 2)
-    assert len(configs) == 6
-    assert configs.index((1, 0, 1)) == 3
+    assert configs.shape == (6, 3) and configs.dtype == np.int64
+    assert configs.tolist().index([1, 0, 1]) == 3
     assert rank_configuration((1, 0, 1)) == 3
 
 
@@ -40,12 +45,35 @@ def test_rank_extremes():
 @pytest.mark.parametrize("n", range(1, 6))
 @pytest.mark.parametrize("r", range(6))
 def test_enumeration_rank_unrank_consistency(n, r):
-    configs = enumerate_configurations(n, r)
+    configs = [tuple(c) for c in enumerate_configurations(n, r).tolist()]
     assert configs == brute_force_enumeration(n, r)
     assert len(configs) == configuration_count(n, r) == math.comb(n + r - 1, r)
     for i, occ in enumerate(configs):
         assert rank_configuration(occ) == i
         assert unrank_configuration(i, n, r) == occ
+
+
+def test_lex_ranks_are_row_indices():
+    for n in range(1, 7):
+        for r in range(7):
+            configs = enumerate_configurations(n, r)
+            ranks = _lex_ranks(configs, _rank_table(n, r))
+            assert np.array_equal(ranks, np.arange(configuration_count(n, r)))
+
+
+def test_move_ranks_match_scalar_ranks():
+    configs = enumerate_configurations(4, 3)
+    # a repeated target and the source itself are both allowed
+    targets = [0, 1, 3, 3]
+    src, ranks = move_ranks(configs, 1, targets)
+    assert src.tolist() == [i for i, occ in enumerate(configs.tolist()) if occ[1] > 0]
+    for k, w in enumerate(targets):
+        expected = []
+        for occ in configs[src].tolist():
+            occ[1] -= 1
+            occ[w] += 1
+            expected.append(rank_configuration(occ))
+        assert ranks[k].tolist() == expected
 
 
 def test_unrank_range_check():
@@ -97,7 +125,7 @@ def test_transition_examples():
 
 def test_transitions_conserve_particles():
     for graph in (Torus(1, 4), Complete(4), Torus(2, 2)):
-        for occ in enumerate_configurations(graph.vertex_count, 3):
+        for occ in enumerate_configurations(graph.vertex_count, 3).tolist():
             for target, rate in transitions(graph, occ):
                 assert sum(target) == 3
                 assert rate == 1.0 / graph.degree
@@ -108,7 +136,8 @@ def test_rate_symmetry():
     for graph in (Torus(1, 4), Complete(4), Torus(1, 2)):
         for r in (1, 2, 3):
             table = {}
-            for occ in enumerate_configurations(graph.vertex_count, r):
+            for occ in enumerate_configurations(graph.vertex_count, r).tolist():
+                occ = tuple(occ)
                 agg = {}
                 for target, rate in transitions(graph, occ):
                     agg[target] = agg.get(target, 0.0) + rate
@@ -127,7 +156,7 @@ def test_degenerate_torus_transition_rates():
 def test_random_configuration_is_uniform():
     rng = make_generator(99)
     n, r = 3, 2
-    counts = {occ: 0 for occ in enumerate_configurations(n, r)}
+    counts = {tuple(occ): 0 for occ in enumerate_configurations(n, r).tolist()}
     draws = 12000
     for _ in range(draws):
         counts[random_configuration(n, r, rng)] += 1

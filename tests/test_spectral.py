@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from zrpgap import spectral
 from zrpgap.configurations import (
+    _lex_ranks,
+    _rank_table,
     enumerate_configurations,
     rank_configuration,
     transitions,
@@ -51,7 +53,7 @@ def test_three_cycle_equals_triangle():
 
 def loop_generator(graph, r):
     """Reference assembly: one state at a time from ``transitions``."""
-    configs = enumerate_configurations(graph.vertex_count, r)
+    configs = [tuple(c) for c in enumerate_configurations(graph.vertex_count, r).tolist()]
     index = {c: i for i, c in enumerate(configs)}
     rows, cols, vals = [], [], []
     for i, occ in enumerate(configs):
@@ -138,7 +140,6 @@ def test_dense_path_rejects_a_second_zero_mode():
     split = Generator(
         graph=gen.graph,
         particles=gen.particles,
-        configurations=gen.configurations * 2,
         occupancies=np.vstack([gen.occupancies, gen.occupancies]),
         matrix=sparse.block_diag([gen.matrix, gen.matrix], format="csr"),
     )
@@ -178,7 +179,7 @@ def test_vectorized_ranks_match_rank_configuration(n, r):
     total = math.comb(n + r - 1, r)
     picks = rng.integers(total, size=min(total, 300))
     configs = [unrank_configuration(int(i), n, r) for i in picks]
-    ranks = spectral._lex_ranks(np.array(configs), spectral._rank_table(n, r))
+    ranks = _lex_ranks(np.array(configs), _rank_table(n, r))
     assert ranks.tolist() == [rank_configuration(c) for c in configs]
 
 
@@ -189,6 +190,35 @@ def test_transient_distribution_is_stochastic():
     assert (dist >= 0).all()
     assert np.abs(dist.sum(axis=1) - 1.0).max() < 1e-10
     assert dist[0, gen.config_index((2, 0, 0))] == pytest.approx(1.0)
+
+
+def test_config_index_is_the_row_index():
+    gen = build_generator(Complete(3), 2)
+    assert [gen.config_index(c) for c in gen.configurations] == list(range(6))
+    for bad in [(1, 0, 0), (3, 0, 0), (2, 0), (2, 0, 0, 0), (3, -1, 0)]:
+        with pytest.raises(ValueError):
+            gen.config_index(bad)
+
+
+@pytest.mark.parametrize("start", [-1, True, (2, 0)], ids=["index", "bool", "short"])
+def test_transient_start_must_be_a_configuration(start):
+    gen = build_generator(Complete(3), 2)
+    with pytest.raises((TypeError, ValueError)):
+        transient_distribution(gen, start, [0.0, 1.0])
+
+
+def test_uniformization_memory_is_bounded():
+    # about 10,000 Poisson terms at 101 times: the whole weight table would
+    # take 8 MB, and its evaluation several times that
+    gen = build_generator(Complete(3), 2)
+    times = np.linspace(0.0, 5000.0, 101)
+    tracemalloc.start()
+    try:
+        transient_distribution(gen, (2, 0, 0), times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_tv_curve_point_start():

@@ -43,7 +43,7 @@ def test_empty_probability_values():
 
 def test_empty_probability_matches_enumeration():
     n, r = 3, 3
-    configs = enumerate_configurations(n, r)
+    configs = enumerate_configurations(n, r).tolist()
     count = sum(1 for occ in configs if occ[0] == 0)
     assert empty_probability_exact(n, r) == Fraction(count, len(configs))
     assert count == 4 and len(configs) == 10
@@ -51,7 +51,7 @@ def test_empty_probability_matches_enumeration():
 
 def test_occupancy_moments_match_enumeration():
     for n, r in [(3, 2), (4, 3), (2, 5)]:
-        configs = enumerate_configurations(n, r)
+        configs = enumerate_configurations(n, r).tolist()
         e1 = Fraction(sum(occ[0] for occ in configs), len(configs))
         e2 = Fraction(sum(occ[0] ** 2 for occ in configs), len(configs))
         assert occupancy_marginal_moments(n, r) == (e1, e2)
