@@ -29,12 +29,25 @@ upper estimate of the relaxation time.
 Only occupancy counts drive every rule above, so each copy is stored as
 (matched counts, active vertex, low counts); individual rank labels within
 the matched or low groups are interchangeable and are not tracked.
+
+Draw contract: a run draws its events in chunks of 128, 256, ... doubling
+up to 8192 draws.  Each chunk makes three calls on the run's generator, in
+this order: ``integers(0, n, size)`` for the firing vertices,
+``integers(0, n - 1, size)`` for the destinations (a draw ``u`` stands for
+vertex ``u + (u >= v)``, skipping the firing vertex ``v``) and
+``standard_exponential(size) * (1 / n)`` for the holding times.  Whatever
+is left of the last chunk when the run ends is discarded.  Keeping this
+schedule keeps fixed-seed results byte-identical, whatever bookkeeping is
+done around the draws.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .configurations import random_configuration, validate_configuration
 from .seeding import derive_seed, make_generator
@@ -70,22 +83,6 @@ class _Copy:
 
     def top_count(self, v):
         return self.matched[v] + (1 if self.active == v else 0)
-
-
-def _apply_move(copy: _Copy, v: int, w: int) -> None:
-    """Fire vertex v with destination w: the best-ranked particle moves."""
-    matched = copy.matched
-    if matched[v]:
-        matched[v] -= 1
-        matched[w] += 1
-    elif copy.active == v:
-        copy.active = w
-    else:
-        low = copy.low
-        if low[v]:
-            low[v] -= 1
-            low[w] += 1
-        # else: the vertex is empty and the firing is wasted
 
 
 @dataclass(frozen=True)
@@ -198,8 +195,10 @@ def _assert_pairing(state: CoupledState) -> None:
                 )
 
 
-def _step(state: CoupledState, v: int, w: int) -> None:
-    """Fire v toward w in copy one and the coupled move in copy two.
+def _advance(state: CoupledState, vs, ws, times, start: int, stop: int) -> int:
+    """Apply events ``start..stop-1``: copy one fires ``vs[i]`` toward
+    ``ws[i]`` at clock ``times[i]``; return the index after the last event
+    applied, which is before ``stop`` only when an event coalesces the pair.
 
     Copy two gets the identical move in phase 1, which also covers a
     coalesced pair, and the move mirrored through the a <-> b swap in
@@ -207,24 +206,65 @@ def _step(state: CoupledState, v: int, w: int) -> None:
     when the current phase's end condition holds: that condition is the
     first test it makes, and it returns at once on a coalesced pair, so the
     markers, durations and draws are those of settling after every event.
+    The copies' active vertices, the phase and (a, b) live in locals and
+    are written back around every call out and on return.
     """
-    state.events += 1
     one, two = state.one, state.two
-    _apply_move(one, v, w)
-    phase2 = state.phase == 2
-    if phase2:
-        a, b = state.a, state.b
-        v = b if v == a else a if v == b else v
-        w = b if w == a else a if w == b else w
-    _apply_move(two, v, w)
-    if state.check_invariants:
-        _assert_pairing(state)
-    if phase2:
-        if one.top_count(a) != one.top_count(b):
-            return
-    elif one.matched[one.active] != two.matched[two.active] or state.coalesced:
-        return
-    _settle(state)
+    m1, l1, m2, l2 = one.matched, one.low, two.matched, two.low
+    x1, x2 = one.active, two.active
+    phase, a, b = state.phase, state.a, state.b
+    check = state.check_invariants
+    coalesced = state.coalesced
+    for i in range(start, stop):
+        v = vs[i]
+        w = ws[i]
+        # the best-ranked particle at v moves to w; an empty v wastes the firing
+        if m1[v]:
+            m1[v] -= 1
+            m1[w] += 1
+        elif x1 == v:
+            x1 = w
+        elif l1[v]:
+            l1[v] -= 1
+            l1[w] += 1
+        if phase == 2:
+            if v == a:
+                v = b
+            elif v == b:
+                v = a
+            if w == a:
+                w = b
+            elif w == b:
+                w = a
+        if m2[v]:
+            m2[v] -= 1
+            m2[w] += 1
+        elif x2 == v:
+            x2 = w
+        elif l2[v]:
+            l2[v] -= 1
+            l2[w] += 1
+        if check:
+            one.active, two.active = x1, x2
+            _assert_pairing(state)
+        if phase == 2:
+            if m1[a] + (x1 == a) != m1[b] + (x1 == b):
+                continue
+        elif m1[x1] != m2[x2] or coalesced:
+            continue
+        one.active, two.active = x1, x2
+        state.clock = times[i]
+        _settle(state)
+        x1, x2 = one.active, two.active
+        phase, a, b = state.phase, state.a, state.b
+        if state.coalesced:
+            stop = i + 1
+            break
+    one.active, two.active = x1, x2
+    if stop > start:
+        state.clock = times[stop - 1]
+        state.events += stop - start
+    return stop
 
 
 def init_coupling(
@@ -271,8 +311,7 @@ def advance(state: CoupledState, draw: EventDraw) -> CoupledState:
     v, w = draw.vertex, draw.destination
     if not (0 <= v < state.n and 0 <= w < state.n) or v == w:
         raise ValueError("draw must fire one vertex toward a different one")
-    state.clock += draw.dt
-    _step(state, v, w)
+    _advance(state, [v], [w], [float(state.clock + draw.dt)], 0, 1)
     return state
 
 
@@ -322,39 +361,38 @@ def run_to_coalescence(
     observations = []
 
     chunk = 64
-    bi = blen = 0
-    buf_v = buf_u = buf_e = None
+    i = size = 0
     # a coalesced pair keeps evolving, past the horizon, while observed
     while not state.coalesced or pending:
-        if bi == blen:
+        if i == size:
             chunk = min(chunk * 2, 8192)
-            buf_v = rng.integers(0, n, chunk).tolist()
-            buf_u = rng.integers(0, n - 1, chunk).tolist()
-            buf_e = (rng.standard_exponential(chunk) * inv_n).tolist()
-            bi = 0
-            blen = chunk
-        dt = buf_e[bi]
-        v = buf_v[bi]
-        u = buf_u[bi]
-        bi += 1
-        w = u + 1 if u >= v else u
-        t_next = state.clock + dt
-        if pending:
-            # observation times inside the run's lifetime see the frozen
-            # pre-event state
-            while pending and pending[0] < t_next and (
-                state.coalesced or pending[0] <= horizon
-            ):
-                observations.append(
-                    (pending.pop(0), state.one.occupancy(), state.two.occupancy())
-                )
-            if state.coalesced and not pending:
-                break
-        if t_next > horizon and not state.coalesced:
+            vs = rng.integers(0, n, chunk)
+            us = rng.integers(0, n - 1, chunk)
+            dts = rng.standard_exponential(chunk) * inv_n
+            # a sequential sum: each time is bitwise the clock + dt recurrence
+            dts[0] += state.clock
+            times = np.add.accumulate(dts).tolist()
+            ws = (us + (us >= vs)).tolist()
+            vs = vs.tolist()
+            # events before index `within` happen no later than the horizon
+            within = bisect_right(times, horizon)
+            i = 0
+            size = chunk
+        # an observation inside the run's lifetime sees the state before the
+        # first event after it
+        if pending and (state.coalesced or pending[0] <= horizon):
+            cut = bisect_right(times, pending[0])
+        else:
+            cut = size
+        stop = min(cut, size if state.coalesced else within)
+        i = _advance(state, vs, ws, times, i, stop)
+        if i == cut < size:
+            observations.append(
+                (pending.pop(0), state.one.occupancy(), state.two.occupancy())
+            )
+        elif i == within < size and not state.coalesced:
             state.clock = horizon
             break
-        state.clock = t_next
-        _step(state, v, w)
 
     censored = not state.coalesced
     return CouplingRun(

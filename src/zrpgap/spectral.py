@@ -211,7 +211,7 @@ def _uniformize(
     if lam <= 0.0:
         out[:] = start_vector
         return out
-    kernel = sparse.identity(dim, format="csr") + matrix / lam
+    kernel_t = (sparse.identity(dim, format="csr") + matrix / lam).T
     kmax = int(sps.poisson.isf(tail_tol, lam * float(times.max()))) + 1
     if kmax > max_terms:
         raise CapacityError(
@@ -224,7 +224,7 @@ def _uniformize(
         for k, weight in zip(ks, weights):
             out += weight[:, None] * mu[None, :]
             if k < kmax:
-                mu = kernel.T @ mu
+                mu = kernel_t @ mu
     return out
 
 

@@ -18,7 +18,7 @@ from zrpgap.coupling import (
     sample_marginal,
 )
 from zrpgap.graphs import Complete
-from zrpgap.seeding import make_generator
+from zrpgap.seeding import derive_seed, make_generator
 from zrpgap.spectral import build_generator, transient_distribution
 
 
@@ -264,3 +264,103 @@ def test_observed_checked_runs_match_pinned_digest():
     assert sum(run.censored for run in runs) == 26
     assert sum(len(run.observations) for run in runs) == 244
     assert _runs_digest(runs) == "974b9b330cd3509d"
+
+
+@pytest.mark.parametrize("n,r,replicas,seed,horizon,digest", [
+    # replica 18 runs 9,112 events, into the first 8,192-draw chunk
+    (16, 64, 20, 47, None, "580e3b9bd6633d41"),
+    # every run censored, the horizon falling in the third chunk
+    (16, 32, 20, 16, 30.0, "d271afe7b1cbee09"),
+    # 5 of 20 censored, the horizon falling in the fourth chunk
+    (16, 32, 20, 16, 90.0, "79e55eb6ef0b82bc"),
+])
+def test_long_and_censored_runs_match_pinned_digests(n, r, replicas, seed, horizon, digest):
+    assert _runs_digest(sample_coupling_times(n, r, replicas, seed, horizon)) == digest
+
+
+def test_late_observations_match_pinned_digest():
+    # observations in later chunks, exactly at the horizon and after
+    # coalescence; the K16 r=64 pairs are carried over several 8,192-draw
+    # chunks past coalescence to reach theirs
+    runs = [run_to_coalescence(point_mass(16, 16), seed, 30.0,
+                               observe_times=(12.0, 30.0, 400.0),
+                               check_invariants=True)
+            for seed in range(8)]
+    runs += [run_to_coalescence(point_mass(16, 64), seed, 1e4, observe_times=(1500.0,))
+             for seed in range(2)]
+    assert sum(run.censored for run in runs) == 2
+    assert sum(len(run.observations) for run in runs) == 24
+    assert _runs_digest(runs) == "90ad5f1907f73bd1"
+
+
+def _replay(eta0, seed, horizon):
+    """``run_to_coalescence``'s draw schedule fed one event at a time
+    through ``advance``: the final state and, after each applied event, the
+    clock and both configurations."""
+    state = init_coupling(eta0, seed)
+    rng, n, inv_n = state.rng, state.n, 1.0 / state.n
+    trail = []
+    chunk = 64
+    while True:
+        chunk = min(chunk * 2, 8192)
+        vs = rng.integers(0, n, chunk).tolist()
+        us = rng.integers(0, n - 1, chunk).tolist()
+        dts = (rng.standard_exponential(chunk) * inv_n).tolist()
+        for v, u, dt in zip(vs, us, dts):
+            if state.clock + dt > horizon:
+                return state, trail
+            advance(state, EventDraw(v, u + 1 if u >= v else u, dt))
+            trail.append((state.clock, state.one.occupancy(), state.two.occupancy()))
+            if state.coalesced:
+                return state, trail
+
+
+@pytest.mark.parametrize("eta0,seed,horizon", [
+    pytest.param(point_mass(16, 16), 3, 1e4, id="K16-r16"),
+    pytest.param(point_mass(16, 32), 5, 30.0, id="K16-r32-censored"),
+    pytest.param(point_mass(16, 64), derive_seed(47, 18), 1e4, id="K16-r64-9112-events"),
+    pytest.param((1, 2, 0, 3), 9, 1e4, id="K4-r6"),
+])
+def test_advance_replays_run_to_coalescence(eta0, seed, horizon):
+    run = run_to_coalescence(eta0, seed, horizon)
+    state, trail = _replay(eta0, seed, horizon)
+    assert run.events == state.events == len(trail)
+    assert run.censored == (not state.coalesced)
+    assert run.coupling_time == state.coalesced_at
+    assert run.stage_durations == tuple(state.stage_durations)
+    assert run.phase1_durations == tuple(state.phase1_durations)
+    assert run.final_eta == state.one.occupancy()
+    assert run.final_eta_prime == state.two.occupancy()
+
+
+def test_cuts_at_an_event_time_include_that_event():
+    # an observation at an event's time sees the state after it, and a
+    # horizon at an event's time still applies it
+    eta0, seed = point_mass(16, 16), 3
+    _, trail = _replay(eta0, seed, 1e4)
+    k = next(k for k in range(300, len(trail)) if trail[k][1:] != trail[k - 1][1:])
+    t, eta, eta_prime = trail[k]
+    run = run_to_coalescence(eta0, seed, 1e4, observe_times=(t,))
+    assert run.observations == ((t, eta, eta_prime),)
+    run = run_to_coalescence(eta0, seed, t)
+    assert run.censored and run.events == k + 1
+    assert (run.final_eta, run.final_eta_prime) == (eta, eta_prime)
+
+
+def test_run_floats_are_python_floats():
+    # an np.float64 would change repr(), and so the digests and CLI output
+    runs = sample_coupling_times(16, 16, 3, 1)
+    runs += sample_coupling_times(16, 32, 3, 2, horizon=30.0)
+    runs += [run_to_coalescence(point_mass(5, 6), seed, 50.0,
+                                observe_times=(0.5, 40.0, 80.0))
+             for seed in range(5)]
+    values = []
+    for run in runs:
+        values += [run.horizon, *run.stage_durations, *run.phase1_durations]
+        values += [t for t, _, _ in run.observations]
+        if not run.censored:
+            values.append(run.coupling_time)
+    assert values and all(type(x) is float for x in values)
+    state = init_coupling((2, 0, 0), seed=1, eta_prime0=(0, 1, 1))
+    advance(state, EventDraw(0, 2, np.float64(0.25)))
+    assert type(state.clock) is float

@@ -27,7 +27,15 @@ from zrpgap.reversal import (
     simulate_reversed_hitting,
     survival_agreement,
 )
-from zrpgap.spectral import _uniformize, build_generator, transient_distribution
+from scipy import stats as sps
+
+from zrpgap.spectral import (
+    UNIFORMIZATION_BLOCK,
+    UNIFORMIZATION_TAIL,
+    _uniformize,
+    build_generator,
+    transient_distribution,
+)
 from zrpgap.stats import fit_exponential_tail
 
 
@@ -243,6 +251,41 @@ def test_uniformization_matches_expm(case):
     assert forward[-1] > 1e-3  # the curves are not trivially zero
     assert np.abs(np.array(agreement.forward) - forward).max() <= 1e-12
     assert np.abs(np.array(agreement.backward) - backward).max() <= 1e-12
+
+
+def transposing_uniformize(matrix, start_vector, times):
+    """Reference uniformization that transposes the kernel on every term."""
+    lam = float(-matrix.diagonal().min())
+    kernel = sparse.identity(matrix.shape[0], format="csr") + matrix / lam
+    kmax = int(sps.poisson.isf(UNIFORMIZATION_TAIL, lam * float(times.max()))) + 1
+    out = np.zeros((times.size, matrix.shape[0]))
+    mu = np.array(start_vector, dtype=float)
+    for first in range(0, kmax + 1, UNIFORMIZATION_BLOCK):
+        ks = range(first, min(first + UNIFORMIZATION_BLOCK, kmax + 1))
+        weights = sps.poisson.pmf(np.array(ks)[:, None], lam * times[None, :])
+        for k, weight in zip(ks, weights):
+            out += weight[:, None] * mu[None, :]
+            if k < kmax:
+                mu = kernel.T @ mu
+    return out
+
+
+@pytest.mark.parametrize("case", ["tagged-3-1-unmerged", "complete-3-r2"])
+def test_uniformization_matches_per_term_transpose(case):
+    if case == "complete-3-r2":
+        matrix = build_generator(Complete(3), 2).matrix
+    else:
+        # the (3,1) tagged chain killed on merging: a non-symmetric
+        # sub-generator
+        chain = build_tagged_pair_chain(3, 1)
+        keep = [i for i, state in enumerate(chain.states) if state != MERGED]
+        matrix = sparse.csr_matrix(dense_generator(chain)[np.ix_(keep, keep)])
+        assert (matrix != matrix.T).nnz and matrix.sum(axis=1).max() < 0
+    point = np.zeros(matrix.shape[0])
+    point[1] = 1.0
+    times = np.array(EXPM_TIMES + [40.0])
+    assert np.array_equal(_uniformize(matrix, point, times),
+                          transposing_uniformize(matrix, point, times))
 
 
 def test_survival_at_time_zero_is_mass_outside_hitting_set():
