@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .configurations import random_configuration, validate_configuration
-from .seeding import derive_seed, make_generator
+from .seeding import make_generator, replica_generators
 from .stats import TailFit, fit_exponential_tail
 
 
@@ -272,8 +272,13 @@ def init_coupling(
     seed: int,
     eta_prime0=None,
     check_invariants: bool = False,
+    *,
+    rng=None,
 ) -> CoupledState:
     """Set up the coupled pair: copy one at ``eta0``, copy two uniform.
+
+    The pair draws from ``rng`` when given, else from
+    ``make_generator(seed)``.
 
     Needs n >= 3: on two vertices the swap phase waits for the occupancy
     difference at the special pair to vanish, but every move changes that
@@ -287,7 +292,8 @@ def init_coupling(
         raise ValueError("the coupling needs at least 3 vertices")
     if r < 1:
         raise ValueError("need at least one particle")
-    rng = make_generator(seed)
+    if rng is None:
+        rng = make_generator(seed)
     if eta_prime0 is None:
         eta_prime0 = random_configuration(n, r, rng)
     else:
@@ -346,14 +352,17 @@ def run_to_coalescence(
     eta_prime0=None,
     observe_times=(),
     check_invariants: bool = False,
+    *,
+    rng=None,
 ) -> CouplingRun:
     """Run one coupling to coalescence (or the censoring horizon).
 
     ``observe_times`` collects both configurations at the given times, even
     past coalescence (the merged pair keeps evolving as a single process),
-    so marginal-law checks can be read off the same machinery.
+    so marginal-law checks can be read off the same machinery.  ``rng``, when
+    given, must be ``make_generator(seed)``'s stream (see :func:`init_coupling`).
     """
-    state = init_coupling(eta0, seed, eta_prime0, check_invariants)
+    state = init_coupling(eta0, seed, eta_prime0, check_invariants, rng=rng)
     rng = state.rng
     n = state.n
     inv_n = 1.0 / n
@@ -432,7 +441,10 @@ def sample_coupling_times(
     if horizon is None:
         horizon = default_horizon(n, r, replicas)
     eta0 = point_mass(n, r)
-    return [run_to_coalescence(eta0, derive_seed(seed, i), horizon) for i in range(replicas)]
+    return [
+        run_to_coalescence(eta0, replica_seed, horizon, rng=rng)
+        for replica_seed, rng in replica_generators(seed, range(replicas))
+    ]
 
 
 def sample_marginal(
@@ -444,12 +456,14 @@ def sample_marginal(
 ) -> dict[tuple[int, ...], int]:
     """Empirical law of copy one at a fixed time, across replicas, started
     from :func:`point_mass`."""
+    if replicas < 1:
+        raise ValueError("need at least one replica")
     eta0 = point_mass(n, r)
     counts: dict[tuple[int, ...], int] = {}
     horizon = at_time + 1.0
-    for i in range(replicas):
+    for replica_seed, rng in replica_generators(seed, range(replicas)):
         run = run_to_coalescence(
-            eta0, derive_seed(seed, i), horizon, observe_times=(at_time,)
+            eta0, replica_seed, horizon, observe_times=(at_time,), rng=rng
         )
         occ = run.observations[0][1]
         counts[occ] = counts.get(occ, 0) + 1

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,7 +48,7 @@ from scipy import sparse
 
 from .configurations import enumerate_configurations
 from .errors import CapacityError
-from .seeding import derive_seed, make_generator
+from .seeding import derive_seed, make_generator, replica_generators
 from .spectral import _uniformize
 from .stats import MCEstimate
 
@@ -76,6 +77,12 @@ class TaggedPairChain:
 
     def __post_init__(self):
         self._index = {s: i for i, s in enumerate(self.states)}
+
+    @functools.cached_property
+    def _pi_cumulative(self) -> list:
+        """Running sums of pi as floats, added in order: bitwise
+        ``np.cumsum(np.asarray(pi, dtype=float))``."""
+        return list(itertools.accumulate(float(p) for p in self.pi))
 
     def exit_rate(self, i) -> Fraction:
         return sum(self.rates[i].values(), Fraction(0))
@@ -391,11 +398,11 @@ class DriftParams:
         if self.c_const <= 0:
             raise ValueError("the window constant c must be positive")
 
-    @property
+    @functools.cached_property
     def scale(self) -> float:
         return 64.0 * (self.density + 1.0) / self.c_const
 
-    @property
+    @functools.cached_property
     def alpha(self) -> float:
         s = self.scale
         return 1.0 / (s * (s + 1.0))
@@ -433,10 +440,9 @@ class ReversedRun:
 
 
 def _sample_start(chain: TaggedPairChain, rng) -> int:
-    weights = np.asarray(chain.pi, dtype=float)
-    cum = np.cumsum(weights)
-    u = rng.random() * cum[-1]
-    return int(np.searchsorted(cum, u, side="right"))
+    """A state index drawn from pi with one uniform draw."""
+    cum = chain._pi_cumulative
+    return bisect.bisect_right(cum, rng.random() * cum[-1])
 
 
 def simulate_reversed_hitting(
@@ -447,6 +453,8 @@ def simulate_reversed_hitting(
     t_ref: float | None = None,
     start=None,
     check_identity: bool = False,
+    *,
+    rng=None,
 ) -> ReversedRun:
     """Run the reversed attempt dynamics until the balanced set is hit.
 
@@ -456,12 +464,14 @@ def simulate_reversed_hitting(
     evaluated at min(t_ref, hitting time)).  Horizon censoring is flagged,
     never silently dropped.  ``check_identity`` re-derives the potential as
     ladder(max) + jump account after every event and fails hard on any
-    mismatch.
+    mismatch.  The run draws from ``rng`` when given, else from
+    ``make_generator(seed)``.
     """
     if chain.kind != "forward":
         raise ValueError("pass the forward chain; the reversal is built internally")
     n = chain.n
-    rng = make_generator(seed)
+    if rng is None:
+        rng = make_generator(seed)
     if start is None:
         idx = _sample_start(chain, rng)
         state = chain.states[idx]
@@ -587,8 +597,8 @@ def sample_hitting_times(
         raise ValueError("need at least one replica")
     chain = build_tagged_pair_chain(n, high_count)
     return [
-        simulate_reversed_hitting(chain, derive_seed(seed, i), horizon, c_const)
-        for i in range(replicas)
+        simulate_reversed_hitting(chain, replica_seed, horizon, c_const, rng=rng)
+        for replica_seed, rng in replica_generators(seed, range(replicas))
     ]
 
 
@@ -636,9 +646,9 @@ def drift_check(
         raise ValueError("t_ref must be positive")
     chain = build_tagged_pair_chain(n, high_count)
     increments = np.empty(replicas)
-    for i in range(replicas):
+    for i, (replica_seed, rng) in enumerate(replica_generators(seed, range(replicas))):
         run = simulate_reversed_hitting(
-            chain, derive_seed(seed, i), 1e9, c_const, t_ref=t_ref
+            chain, replica_seed, 1e9, c_const, t_ref=t_ref, rng=rng
         )
         increments[i] = run.drift_increment
     mean = float(increments.mean()) / t_ref

@@ -19,7 +19,7 @@ from scipy import special
 from scipy import stats as sps
 
 from .configurations import random_configuration, validate_configuration
-from .seeding import derive_seed, make_generator
+from .seeding import derive_seed, make_generator, replica_generators
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +111,8 @@ def occupancy_stats(
     start="stationary",
     m_param: float = 1.0,
     record_path: bool = False,
+    *,
+    rng=None,
 ) -> OccupancyTrace:
     """Simulate the process on K_n and accumulate exact per-vertex empty time.
 
@@ -127,13 +129,15 @@ def occupancy_stats(
     constant-state piece is split at window boundaries by the same float
     recurrences, and every per-vertex total is a sequential
     ``np.add.accumulate`` over the pieces in order, adding 0.0 where the
-    vertex is occupied (``x + 0.0 == x``).
+    vertex is occupied (``x + 0.0 == x``).  The run draws from ``rng`` when
+    given, else from ``make_generator(seed)``.
     """
     if n < 2 or r < 0:
         raise ValueError("need n >= 2 and r >= 0")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    rng = make_generator(seed)
+    if rng is None:
+        rng = make_generator(seed)
     if start == "stationary":
         occ = list(random_configuration(n, r, rng))
     else:
@@ -274,6 +278,8 @@ class _EmptyTimes:
 # estimate_window_constant() with its default arguments, pinned so that
 # callers do not re-simulate its 800 windows for a fixed number
 WINDOW_CONSTANT = 0.5957828255027163
+# replica indices reserved per grid case of estimate_window_constant
+_CASE_STRIDE = 100_003
 
 
 def estimate_window_constant(
@@ -288,18 +294,20 @@ def estimate_window_constant(
     rho+1)/(rho+1), the default truncation of :func:`occupancy_stats`,
     over vertices whose initial occupancy is at most 2(rho+1).  Returns the
     grid minimum: the best constant C such that the truncated mean empty
-    time is >= C*(rho+1) held on the whole grid.
+    time is >= C*(rho+1) held on the whole grid.  Grid case k runs replica
+    indices k*100,003 onwards, so ``replicas`` may not exceed 100,003.
     """
+    if not 1 <= replicas <= _CASE_STRIDE:
+        raise ValueError(f"replicas must be between 1 and {_CASE_STRIDE}")
     best = math.inf
     case = 0
     for n, rho in grid:
         r = int(round(rho * n))
         cap = 2.0 * (rho + 1.0)
         values = []
-        for i in range(replicas):
-            trace = occupancy_stats(
-                n, r, (rho + 1.0) ** 2, derive_seed(seed, case * 100_003 + i)
-            )
+        first = case * _CASE_STRIDE
+        for replica_seed, rng in replica_generators(seed, range(first, first + replicas)):
+            trace = occupancy_stats(n, r, (rho + 1.0) ** 2, replica_seed, rng=rng)
             for v in range(n):
                 if trace.start[v] <= cap:
                     values.append(
@@ -475,8 +483,7 @@ def _survival_slope(values, n_censored, q_low, q_high):
     values = np.sort(values)
     m = values.size
     total = m + n_censored
-    lo = float(np.quantile(values, q_low))
-    hi = float(np.quantile(values, q_high))
+    lo, hi = (float(q) for q in np.quantile(values, [q_low, q_high]))
     # survival just above each sorted point; censored samples (all at the
     # horizon, beyond any fit point) count as "still running"
     surv = (m - 1 - np.arange(m) + n_censored) / total

@@ -178,6 +178,11 @@ def test_marginal_law_small_instance():
     assert tv < 0.03
 
 
+def test_marginal_rejects_zero_replicas():
+    with pytest.raises(ValueError):
+        sample_marginal(3, 2, 1.0, 0, seed=21)
+
+
 def test_long_time_law_uniform():
     """At large times the observed copy is uniform over configurations."""
     n, r = 3, 2

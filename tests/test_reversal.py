@@ -160,6 +160,31 @@ def test_hitting_from_balanced_state_is_zero():
     assert merged_run.hit and merged_run.stop_time == 0.0
 
 
+class _FixedUniform:
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+@pytest.mark.parametrize("n,j", [(4, 1), (6, 2)])
+def test_start_law_matches_cumsum_searchsorted(n, j):
+    chain = build_tagged_pair_chain(n, j)
+    cum = np.cumsum(np.asarray(chain.pi, dtype=float))
+    # u exactly on every boundary, just below it, and at random points
+    boundaries = cum / cum[-1]
+    points = np.concatenate([boundaries, np.nextafter(boundaries, 0.0),
+                             np.random.default_rng(n).random(500), [0.0]])
+    on_boundary = 0
+    for x in points:
+        x = float(x)
+        on_boundary += bool(np.any(x * cum[-1] == cum))
+        expected = int(np.searchsorted(cum, x * cum[-1], side="right"))
+        assert reversal._sample_start(chain, _FixedUniform(x)) == expected
+    assert on_boundary >= chain.size // 2
+
+
 def test_reversed_simulation_requires_forward_chain():
     chain = build_tagged_pair_chain(3, 1)
     with pytest.raises(ValueError):

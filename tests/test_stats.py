@@ -332,3 +332,10 @@ def test_window_constant_estimate_positive():
 
 def test_window_constant_is_the_default_estimate():
     assert estimate_window_constant() == WINDOW_CONSTANT
+
+
+@pytest.mark.parametrize("replicas", [0, 100_004])
+def test_window_constant_rejects_replica_counts(replicas):
+    # above 100,003 the grid cases' replica indices would overlap
+    with pytest.raises(ValueError):
+        estimate_window_constant(replicas=replicas)
