@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy import stats as sps
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .configurations import (
@@ -33,12 +32,23 @@ from .configurations import (
 from .errors import CapacityError, SolverConvergenceError
 from .graphs import GraphSpec, Torus
 from .seeding import make_generator
-from .stats import empty_probability_exact, occupancy_marginal_moments
+from .stats import (
+    empty_probability_exact,
+    occupancy_marginal_moments,
+    poisson_isf,
+    poisson_pmf,
+)
 
 # Dense ``eigh`` and the deflated Lanczos solve of ``exact_gap`` cost the same
 # (2-7 ms) between about 120 and 220 states on a 2-core x86 machine; above
 # that the cubic dense solve loses fast (34 ms against 5 ms at 462 states).
 DENSE_THRESHOLD = 200
+# ARPACK restarts the iterative gap solve may take before it fails as a
+# SolverConvergenceError.  Without a cap ARPACK allows 10 per state, which on
+# Complete(2) r=20,000 runs for minutes.  Every instance of the tests, the
+# README and the bench converges within 17 restarts; Complete(2) r=2,000,
+# whose gap is 2.5e-6, takes 2,660.
+LANCZOS_MAX_RESTARTS = 3_000
 # Poisson mass left out of a uniformization series, and the most terms it
 # may take before the run is refused as a capacity error
 UNIFORMIZATION_TAIL = 1e-12
@@ -131,8 +141,10 @@ def exact_gap(gen: Generator, method: str = "auto") -> SpectralReport:
     eigenvalue theta of ``P (c I + Q) P``, where P projects out the constant
     vector (the zero mode) and ``c`` is twice the largest exit rate, so that
     ``c`` bounds the spectrum of -Q by Gershgorin.  The gap is ``c - theta``.
-    The start vector is fixed, so repeated solves return the same floats.
-    The 2-norm residual of the computed eigenpair is reported either way.
+    The start vector is fixed, so repeated solves return the same floats;
+    more than ``LANCZOS_MAX_RESTARTS`` restarts raise
+    ``SolverConvergenceError``.  The 2-norm residual of the computed
+    eigenpair is reported either way.
     """
     dim = gen.dimension
     if dim < 2:
@@ -165,7 +177,9 @@ def exact_gap(gen: Generator, method: str = "auto") -> SpectralReport:
         op = LinearOperator((dim, dim), matvec=shifted, dtype=float)
         v0 = np.random.default_rng(0).standard_normal(dim)
         try:
-            values, vectors = eigsh(op, k=1, which="LA", v0=v0)
+            values, vectors = eigsh(
+                op, k=1, which="LA", v0=v0, maxiter=LANCZOS_MAX_RESTARTS
+            )
         except ArpackNoConvergence as exc:
             raise SolverConvergenceError(
                 f"eigensolver did not converge on dimension {dim}: {exc}",
@@ -212,7 +226,7 @@ def _uniformize(
         out[:] = start_vector
         return out
     kernel_t = (sparse.identity(dim, format="csr") + matrix / lam).T
-    kmax = int(sps.poisson.isf(tail_tol, lam * float(times.max()))) + 1
+    kmax = int(poisson_isf(tail_tol, lam * float(times.max()))) + 1
     if kmax > max_terms:
         raise CapacityError(
             f"uniformization needs {kmax} terms, exceeding the {max_terms} budget"
@@ -220,7 +234,7 @@ def _uniformize(
     mu = np.array(start_vector, dtype=float)
     for first in range(0, kmax + 1, UNIFORMIZATION_BLOCK):
         ks = range(first, min(first + UNIFORMIZATION_BLOCK, kmax + 1))
-        weights = sps.poisson.pmf(np.array(ks)[:, None], lam * times[None, :])
+        weights = poisson_pmf(np.array(ks)[:, None], lam * times[None, :])
         for k, weight in zip(ks, weights):
             out += weight[:, None] * mu[None, :]
             if k < kmax:

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import special
-from scipy import stats as sps
 
 from .configurations import random_configuration, validate_configuration
 from .seeding import derive_seed, make_generator, replica_generators
@@ -319,6 +318,39 @@ def estimate_window_constant(
 
 
 # ---------------------------------------------------------------------------
+# The Poisson law, from scipy.special
+# ---------------------------------------------------------------------------
+# These four give the same floats as the pmf, cdf, sf and isf of SciPy's
+# ``poisson`` distribution at integer points: the same special functions,
+# clips and masks.  Importing SciPy's statistics module for them would more
+# than double the package's import time.
+
+def poisson_pmf(k, mu):
+    """P(X = k) for X ~ Poisson(mu), integer k >= 0, mu >= 0."""
+    return np.clip(np.exp(special.xlogy(k, mu) - special.gammaln(k + 1) - mu), 0, 1)
+
+
+def poisson_cdf(k, mu):
+    """P(X <= k) at integer k; 0 below the support, where pdtr gives nan."""
+    k = np.asarray(k)
+    return np.where(k < 0, 0.0, np.clip(special.pdtr(np.maximum(k, 0), mu), 0, 1))[()]
+
+
+def poisson_sf(k, mu):
+    """P(X > k) at integer k; 1 below the support, where pdtrc gives nan."""
+    k = np.asarray(k)
+    return np.where(k < 0, 1.0, np.clip(special.pdtrc(np.maximum(k, 0), mu), 0, 1))[()]
+
+
+def poisson_isf(q, mu):
+    """Smallest integer k with P(X > k) <= q, for 0 < q < 1."""
+    p = 1.0 - q
+    vals = np.ceil(special.pdtrik(p, mu))
+    below = np.maximum(vals - 1, 0)
+    return np.where(special.pdtr(below, mu) >= p, below, vals)[()]
+
+
+# ---------------------------------------------------------------------------
 # Poisson-difference (Skellam) tables
 # ---------------------------------------------------------------------------
 
@@ -331,12 +363,12 @@ def skellam_tail(lam: float, m: int) -> float:
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    kmax = int(sps.poisson.isf(1e-14 / 4.0, lam)) + 2
+    kmax = int(poisson_isf(1e-14 / 4.0, lam)) + 2
     if kmax > 10_000_000:
         raise ValueError("truncation budget exceeded")
     xs = np.arange(kmax + 1)
-    px = sps.poisson.pmf(xs, lam)
-    cdf = sps.poisson.cdf(xs - m, lam)
+    px = poisson_pmf(xs, lam)
+    cdf = poisson_cdf(xs - m, lam)
     return float(np.sum(px * cdf))
 
 
@@ -364,7 +396,7 @@ def poisson_concentration(lam: float) -> float:
         raise ValueError("lam must be positive")
     lo = math.floor(lam / 2.0)
     hi = math.ceil(1.5 * lam)
-    return float(sps.poisson.cdf(lo, lam) + sps.poisson.sf(hi - 1, lam))
+    return float(poisson_cdf(lo, lam) + poisson_sf(hi - 1, lam))
 
 
 @dataclass(frozen=True)
@@ -447,6 +479,25 @@ def rw_no_return_probability(r: float, replicas: int, seed: int) -> MCEstimate:
         pos = pos[keep] + step[keep]
         last_t = next_t[keep]
     return MCEstimate.binomial(survived, replicas, seed)
+
+
+def rw_no_return_exact(r: float) -> float:
+    """Exact value of what :func:`rw_no_return_probability` estimates.
+
+    By the reflection principle for the skip-free walk, a walk at x != 0
+    avoids 0 for a further time t exactly with probability
+    P(-|x| < S_t <= |x|), S_t ~ Skellam(t, t) its increment.  Summed over
+    X_1 = x, P(X_1 = x) = e^{-2} I_x(2), with t = r^2 - 1.  Positions
+    |x| > 20 at time 1 carry mass below 1e-19 and are left out.
+    """
+    if r < 1:
+        raise ValueError("need r >= 1")
+    t = float(r) * float(r) - 1.0
+    total = 0.0
+    for x in range(1, 21):
+        stay = 1.0 if t == 0.0 else skellam_tail(t, 1 - x) - skellam_tail(t, x + 1)
+        total += 2.0 * float(special.ive(x, 2.0)) * stay
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from zrpgap.stats import (
     empty_probability_exact,
     estimate_window_constant,
     occupancy_stats,
+    rw_no_return_exact,
     rw_no_return_probability,
     skellam_tail,
 )
@@ -269,16 +270,16 @@ def test_criterion_13_poisson_difference_tables():
 def test_criterion_14_no_return_probability():
     budget = _Budget("criterion 14", 120.0)
     est = rw_no_return_probability(1, 1_000_000, seed=31)
-    exact = 1.0 - 0.3085083225536709
+    exact = rw_no_return_exact(1)
     assert abs(est.value - exact) <= 3.0 * est.stderr
-    scaled_low = math.inf
+    worst = 0.0
     for r in range(1, 9):
         e = rw_no_return_probability(r, 1_000_000, seed=300 + r)
-        scaled_low = min(scaled_low, e.ci_low * r)
-    assert scaled_low > 0.0
+        worst = max(worst, abs(e.value - rw_no_return_exact(r)) / e.stderr)
+    assert worst <= 3.0
     budget.done(
         f"r=1 estimate {est.value:.4f} within 3 SE of {exact:.4f}; "
-        f"min_r r * ci_low = {scaled_low:.3f} > 0"
+        f"r=1..8 within {worst:.2f} SE of the exact values"
     )
 
 

@@ -2,13 +2,16 @@ import argparse
 import hashlib
 import inspect
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from zrpgap import cli
+from zrpgap import cli, spectral
 from zrpgap.cli import main
 from zrpgap.errors import SolverConvergenceError
 
@@ -232,6 +235,15 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "SolverConvergenceError" in lines[1]
 
 
+def test_solver_restart_cap_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(spectral, "LANCZOS_MAX_RESTARTS", 5)
+    code, _ = run_cli(["exact-gap", "--graph", "complete", "--n", "2", "--r", "300"],
+                      tmp_path, "cap")
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "solver error" in err and "Traceback" not in err
+
+
 def test_sweep_empty_grid(tmp_path):
     code, out = run_cli(
         ["sweep", "--task", "exact-gap", "--L-values", "", "--rho-values", "1"],
@@ -408,3 +420,14 @@ def test_bad_values_exit_1_without_traceback(args, tmp_path, capsys):
     assert code == 1
     assert "Traceback" not in err and "math domain error" not in err
     assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats alone costs more start-up than the rest of the package
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import zrpgap.cli, sys; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

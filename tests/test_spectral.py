@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from zrpgap import spectral
 from zrpgap.configurations import (
     _lex_ranks,
     _rank_table,
@@ -166,6 +167,15 @@ def test_iterative_gap_is_reproducible():
     first = exact_gap(gen, method="iterative")
     for _ in range(3):
         assert exact_gap(gen, method="iterative") == first
+
+
+def test_iterative_restart_cap_raises(monkeypatch):
+    # Complete(2) r=300 needs 79 ARPACK restarts; the cap is read per call
+    gen = build_generator(Complete(2), 300)
+    assert exact_gap(gen, method="iterative").gap > 0
+    monkeypatch.setattr(spectral, "LANCZOS_MAX_RESTARTS", 5)
+    with pytest.raises(SolverConvergenceError, match="did not converge"):
+        exact_gap(gen, method="iterative")
 
 
 def test_iterative_needs_three_states():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from zrpgap.configurations import (
     enumerate_configurations,
@@ -10,6 +11,7 @@ from zrpgap.configurations import (
     validate_configuration,
 )
 from zrpgap.seeding import derive_seed, make_generator, splitmix64
+from zrpgap.spectral import UNIFORMIZATION_TAIL
 from zrpgap.stats import (
     WINDOW_CONSTANT,
     OccupancyTrace,
@@ -18,7 +20,12 @@ from zrpgap.stats import (
     fit_exponential_tail,
     occupancy_marginal_moments,
     occupancy_stats,
+    poisson_cdf,
     poisson_concentration,
+    poisson_isf,
+    poisson_pmf,
+    poisson_sf,
+    rw_no_return_exact,
     rw_no_return_probability,
     skellam_tail,
     skellam_tail_bessel,
@@ -190,6 +197,39 @@ def test_long_run_empty_fraction_scaling():
         assert scaled > 0.5
 
 
+# the helpers must give scipy's bits, so that every output built from them
+# stays byte-identical: compared on means from 0 to 5e4 and k below 2,000
+POISSON_MEANS = np.concatenate([[0.0], np.geomspace(1e-3, 5e4, 400)])
+
+
+@pytest.mark.parametrize(
+    "ours,reference",
+    [(poisson_pmf, poisson.pmf), (poisson_cdf, poisson.cdf), (poisson_sf, poisson.sf)],
+)
+def test_poisson_helpers_match_scipy_bitwise(ours, reference):
+    ks = np.arange(2000)[:, None]
+    got = ours(ks, POISSON_MEANS[None, :])
+    assert np.array_equal(got, reference(ks, POISSON_MEANS[None, :]))
+    assert ours(3, 2.0) == reference(3, 2.0)
+
+
+@pytest.mark.parametrize("ours,reference", [(poisson_cdf, poisson.cdf), (poisson_sf, poisson.sf)])
+def test_poisson_cdf_and_sf_below_the_support(ours, reference):
+    # special.pdtr and pdtrc give nan at k < 0; the helpers mask it
+    ks = np.arange(-3, 1)[:, None]
+    assert np.array_equal(ours(ks, POISSON_MEANS[None, :]), reference(ks, POISSON_MEANS[None, :]))
+    for k in (-2, -1, 0):
+        assert ours(k, 2.0) == reference(k, 2.0)
+    assert poisson_cdf(-1, 2.0) == 0.0 and poisson_sf(-1, 2.0) == 1.0
+
+
+@pytest.mark.parametrize("q", [UNIFORMIZATION_TAIL, 1e-12, 2.5e-15, 1e-14 / 4.0, 1e-6])
+def test_poisson_isf_matches_scipy_bitwise(q):
+    assert np.array_equal(poisson_isf(q, POISSON_MEANS), poisson.isf(q, POISSON_MEANS))
+    for mu in (0.0, 1.0, 12.5, 4096.0):
+        assert poisson_isf(q, mu) == poisson.isf(q, mu)
+
+
 def test_skellam_values():
     assert skellam_tail(1.0, 0) == pytest.approx(0.6542541612768356, abs=1e-12)
     assert skellam_tail(1.0, 0) - skellam_tail(1.0, 1) == pytest.approx(
@@ -282,6 +322,16 @@ def test_rw_no_return_scaled_lower_bound():
         est = rw_no_return_probability(r, 30_000, seed=60 + r)
         worst = min(worst, est.ci_low * r)
     assert worst > 0.0
+
+
+def test_rw_no_return_exact_values():
+    assert rw_no_return_exact(1) == pytest.approx(1.0 - 0.3085083225536709, abs=1e-15)
+    got = [rw_no_return_exact(r) for r in (2, 3, 5, 8)]
+    assert got == pytest.approx([0.30670, 0.20016, 0.11887, 0.07404], abs=5e-6)
+    # r p(r) tends to E|X_1| / sqrt(pi) = 0.5910
+    assert 8 * got[-1] == pytest.approx(0.5910, abs=2e-3)
+    with pytest.raises(ValueError):
+        rw_no_return_exact(0.5)
 
 
 def test_fit_recovers_synthetic_rate():
