@@ -71,12 +71,16 @@ class ConfigError(Exception):
 
 
 def _parse_rho(text: str) -> float:
-    if "/" in text:
-        num, den = text.split("/", 1)
-        if int(den) == 0:
-            raise ConfigError(f"density {text!r} has a zero denominator")
-        return float(Fraction(int(num), int(den)))
-    return float(text)
+    num, slash, den = text.partition("/")
+    if slash and int(den) == 0:
+        raise ConfigError(f"density {text!r} has a zero denominator")
+    try:
+        rho = float(Fraction(int(num), int(den))) if slash else float(text)
+    except OverflowError:  # a fraction beyond the float range
+        rho = math.inf
+    if not math.isfinite(rho):
+        raise ConfigError(f"density must be finite, got {text!r}")
+    return rho
 
 
 def _resolve_graph(args) -> Torus | Complete:
@@ -394,6 +398,12 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x]
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _str_list(text: str) -> list[str]:
     return [x for x in text.split(",") if x]
 
@@ -412,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--config", default=None, help="JSON config file; flags override")
         if max_states:
-            p.add_argument("--max-states", dest="max_states", type=int, default=200_000)
+            p.add_argument("--max-states", dest="max_states", type=_positive_int,
+                           default=200_000)
         if seed is not None:
             p.add_argument("--seed", type=int, default=None, required=seed)
 

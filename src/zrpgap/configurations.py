@@ -4,8 +4,8 @@ A configuration of r indistinguishable particles on n vertices is a tuple of
 non-negative occupancies summing to r.  There are C(n+r-1, r) of them; the
 canonical order used everywhere in this package is lexicographic on the
 occupancies: :func:`enumerate_configurations` lists them as rows in that
-order, and a configuration's rank (one at a time, or vectorized over rows)
-is its row index.
+order, a configuration's rank is its row index, and :func:`move_ranks` gives
+the ranks after every single-particle move of a whole space at once.
 """
 
 from __future__ import annotations
@@ -60,48 +60,64 @@ def enumerate_configurations(n: int, r: int, limit: int = DEFAULT_MAX_CONFIGURAT
 
 
 def _rank_table(n: int, r: int) -> np.ndarray:
-    """``table[m, x] = C(x + m, m)`` for ``m < n`` and ``x <= r``.
+    """``table[m, x + 1] = C(x + m, m)`` for ``m < n`` and ``x <= r``, with a
+    leading zero column so that ``table[m, 0]`` reads the ``x = -1`` entry 0.
 
     Row m is the running sum of row m - 1 (Pascal's rule), and every entry is
     at most C(r + n - 1, n - 1), the size of the space, so int64 is exact.
     """
-    table = np.ones((n, r + 1), dtype=np.int64)
+    table = np.zeros((n, r + 2), dtype=np.int64)
+    table[0, 1:] = 1
     for m in range(1, n):
         np.cumsum(table[m - 1], out=table[m])
     return table
 
 
-def _lex_ranks(occ: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """:func:`rank_configuration` of every row of ``occ``, vectorized.
+def move_ranks(occ: np.ndarray, targets):
+    """Single-particle moves of every configuration of one (n, r) space.
 
-    With ``rem_i`` the particles at positions >= i and ``m = n - i - 1``,
-    position i contributes sum_{b < occ_i} C(rem_i - b + m - 1, m - 1), which
-    by the hockey-stick identity is ``table[m, rem_i] - table[m, rem_{i+1}]``.
+    ``occ`` is the whole space as rows in rank order
+    (:func:`enumerate_configurations`), and ``targets[v]`` lists the vertices
+    a particle leaving v may move to (repeats allowed; v itself gives the
+    row's own rank).  Yields, for each v in turn, the indices of the rows
+    with v occupied and a ``(len(targets[v]), rows)`` array whose row k holds
+    their ranks after one particle moves from v to ``targets[v][k]``.
+
+    With ``R_j`` the particles at positions >= j and ``T[m, x] = C(x + m, m)``,
+    the rank of a configuration is ``T[n-1, r] - 1 - sum_{j=1}^{n-1}
+    T[n-j, R_j - 1]``.  A move v -> w raises ``R_j`` by one on v < j <= w, or
+    lowers it by one on w < j <= v, and leaves the rest alone, so by Pascal's
+    rule the rank of row i after the move is
+
+        i - sum_{j=v+1}^{w} T[n-1-j, R_j]        if v < w,
+        i + sum_{j=w+1}^{v} T[n-1-j, R_j - 1]    if w < v.
+
+    Both sums are differences of two prefix tables, ``up`` and ``down``,
+    built once per call, so every move costs two gathers and a subtraction
+    (w = v takes the ``up`` form, whose sum is empty).
     """
-    n = occ.shape[1]
-    rem = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]
-    m = np.arange(n - 1, 0, -1)
-    return (table[m, rem[:, :-1]] - table[m, rem[:, 1:]]).sum(axis=1)
-
-
-def move_ranks(occ: np.ndarray, v: int, targets):
-    """Single-particle moves out of v, for every row of ``occ`` at once.
-
-    ``occ`` holds configurations of one (n, r) space as rows.  Returns the
-    indices of the rows with v occupied and a ``(len(targets), rows)`` array
-    whose row k holds their ranks after one particle moves from v to
-    ``targets[k]`` (a target equal to v gives the row's own rank).
-    """
-    table = _rank_table(occ.shape[1], int(occ[0].sum()))
-    src = np.flatnonzero(occ[:, v])
-    moved = occ[src]
-    moved[:, v] -= 1
-    ranks = np.empty((len(targets), src.size), dtype=np.int64)
-    for k, w in enumerate(targets):
-        moved[:, w] += 1
-        ranks[k] = _lex_ranks(moved, table)
-        moved[:, w] -= 1
-    return src, ranks
+    dim, n = occ.shape
+    r = int(occ[0].sum())
+    table = _rank_table(n, r)
+    up = np.zeros((n, dim), dtype=np.int64)
+    down = np.zeros((n, dim), dtype=np.int64)
+    rem = np.full(dim, r, dtype=np.int64)
+    for j in range(1, n):
+        rem -= occ[:, j - 1]
+        row = table[n - 1 - j]  # row[1:][x] is T[n-1-j, x], row[x] is T[n-1-j, x-1]
+        np.add(up[j - 1], row[1:][rem], out=up[j])
+        np.add(down[j - 1], row[rem], out=down[j])
+    for v, ws in enumerate(targets):
+        src = np.flatnonzero(occ[:, v])
+        from_up = src + up[v, src]
+        from_down = src + down[v, src]
+        ranks = np.empty((len(ws), src.size), dtype=np.int64)
+        for k, w in enumerate(ws):
+            if w >= v:
+                np.subtract(from_up, up[w, src], out=ranks[k])
+            else:
+                np.subtract(from_down, down[w, src], out=ranks[k])
+        yield src, ranks
 
 
 def rank_configuration(occ) -> int:

@@ -289,10 +289,9 @@ def induced_flow_check(graph: Torus, r: int) -> InducedFlowCheck:
         routed.append(list(shares.items()))
 
     flows: dict[tuple[int, int], int] = {}
-    for u in range(n):
-        # one row per configuration with u occupied; lifted[w] is the index
-        # of zeta + chi_w, the configuration after the particle moves u -> w
-        _, ranks = move_ranks(occ, u, range(n))
+    # one row per configuration with u occupied; lifted[w] is the index of
+    # zeta + chi_w, the configuration after the particle moves u -> w
+    for u, (_, ranks) in enumerate(move_ranks(occ, [range(n)] * n)):
         for lifted in ranks.T.tolist():
             for (a, b), share in routed[u]:
                 edge = (lifted[a], lifted[b])

@@ -99,10 +99,8 @@ def build_generator(graph: GraphSpec, r: int, max_states: int = DEFAULT_MAX_CONF
     dim = len(occ)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
-    for v in range(n):
-        targets = graph.neighbors(v)
-        src, ranks = move_ranks(occ, v, targets)
-        rows.append(np.tile(src, len(targets)))
+    for src, ranks in move_ranks(occ, [graph.neighbors(v) for v in range(n)]):
+        rows.append(np.tile(src, len(ranks)))
         cols.append(ranks.ravel())
     diag = np.arange(dim)
     rows_all = np.concatenate([diag, *rows])
@@ -225,12 +223,16 @@ def _uniformize(
     if lam <= 0.0:
         out[:] = start_vector
         return out
-    kernel_t = (sparse.identity(dim, format="csr") + matrix / lam).T
-    kmax = int(poisson_isf(tail_tol, lam * float(times.max()))) + 1
+    # the series runs past the Poisson mean, so a mean above the budget is
+    # refused before the quantile, which turns to nan near a mean of 1e12
+    mean = lam * float(times.max())
+    kmax = int(poisson_isf(tail_tol, mean)) + 1 if mean <= max_terms else math.inf
     if kmax > max_terms:
         raise CapacityError(
-            f"uniformization needs {kmax} terms, exceeding the {max_terms} budget"
+            f"uniformization to Poisson mean {mean:.6g} needs more than the "
+            f"{max_terms} term budget"
         )
+    kernel_t = (sparse.identity(dim, format="csr") + matrix / lam).T
     mu = np.array(start_vector, dtype=float)
     for first in range(0, kmax + 1, UNIFORMIZATION_BLOCK):
         ks = range(first, min(first + UNIFORMIZATION_BLOCK, kmax + 1))
@@ -249,8 +251,8 @@ def transient_distribution(gen: Generator, start, times) -> np.ndarray:
     each probability by at most ``UNIFORMIZATION_TAIL``.
     """
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("times must be non-negative")
+    if not np.all(np.isfinite(times)) or np.any(times < 0):
+        raise ValueError("times must be finite and non-negative")
     point = np.zeros(gen.dimension)
     point[gen.config_index(start)] = 1.0
     return _uniformize(gen.matrix, point, times)

@@ -122,6 +122,37 @@ def test_max_states_limits_exact_gap(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("rho", ["inf", "-inf", "nan", "1e400", "10" * 200 + "/1"])
+def test_non_finite_density_is_a_config_error(rho, tmp_path, capsys):
+    code, out = run_cli(["exact-gap", "--d", "1", "--L", "4", f"--rho={rho}"], tmp_path, "rho")
+    assert code == 1
+    assert "density must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_uniformization_budget_exit_code(tmp_path, capsys):
+    code, out = run_cli(
+        ["tv-curve", "--graph", "complete", "--n", "3", "--r", "2", "--t-max", "1e300"],
+        tmp_path, "budget",
+    )
+    assert code == 2
+    assert "capacity error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("limit", ["-5", "0"])
+def test_max_states_must_be_positive(limit, tmp_path, capsys):
+    code, out = run_cli(
+        ["exact-gap", "--d", "1", "--L", "4", "--r", "2", "--max-states", limit],
+        tmp_path, "limit",
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "--max-states: must be a positive integer" in err
+    assert "capacity error" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -412,6 +443,12 @@ def test_default_outdir_env(tmp_path, monkeypatch, capsys):
         "sweep --L-values 3 --rho-values 1/0",
         "wilson --d 1 --L 4 --r 2 --mode monte_carlo --seed 1 --samples 1",
         "sweep --task wilson --L-values 3 --rho-values 1 --variant both",
+        "tv-curve --graph complete --n 3 --rho inf",
+        "wilson --d 1 --L 4 --rho inf",
+        "sweep --L-values 3 --rho-values inf",
+        "sweep --L-values 3 --rho-values 1,nan",
+        "tv-curve --graph complete --n 3 --r 2 --t-max inf",
+        "tv-curve --graph complete --n 3 --r 2 --t-max nan",
     ],
 )
 def test_bad_values_exit_1_without_traceback(args, tmp_path, capsys):

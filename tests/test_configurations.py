@@ -7,8 +7,6 @@ import pytest
 from scipy import stats as sps
 
 from zrpgap.configurations import (
-    _lex_ranks,
-    _rank_table,
     configuration_count,
     enumerate_configurations,
     move_ranks,
@@ -53,27 +51,47 @@ def test_enumeration_rank_unrank_consistency(n, r):
         assert unrank_configuration(i, n, r) == occ
 
 
+def assert_moves_match_scalar_ranks(configs, targets):
+    """Oracle: move each row's particle with plain lists and rank the result."""
+    for v, (src, ranks) in enumerate(move_ranks(configs, targets)):
+        for k, w in enumerate(targets[v]):
+            expected = []
+            for occ in configs[src].tolist():
+                occ[v] -= 1
+                occ[w] += 1
+                expected.append(rank_configuration(occ))
+            assert ranks[k].tolist() == expected
+
+
 def test_lex_ranks_are_row_indices():
+    # a move from v back to v leaves the row where it is, so its rank is the
+    # row index on every space, including n = 1 and r = 0
     for n in range(1, 7):
         for r in range(7):
             configs = enumerate_configurations(n, r)
-            ranks = _lex_ranks(configs, _rank_table(n, r))
-            assert np.array_equal(ranks, np.arange(configuration_count(n, r)))
+            for v, (src, ranks) in enumerate(move_ranks(configs, [[v, v] for v in range(n)])):
+                assert src.tolist() == np.flatnonzero(configs[:, v]).tolist()
+                assert ranks.tolist() == [src.tolist()] * 2
+                assert [rank_configuration(c) for c in configs[src].tolist()] == src.tolist()
 
 
 def test_move_ranks_match_scalar_ranks():
-    configs = enumerate_configurations(4, 3)
-    # a repeated target and the source itself are both allowed
-    targets = [0, 1, 3, 3]
-    src, ranks = move_ranks(configs, 1, targets)
-    assert src.tolist() == [i for i, occ in enumerate(configs.tolist()) if occ[1] > 0]
-    for k, w in enumerate(targets):
-        expected = []
-        for occ in configs[src].tolist():
-            occ[1] -= 1
-            occ[w] += 1
-            expected.append(rank_configuration(occ))
-        assert ranks[k].tolist() == expected
+    # every move (w < v, w == v and w > v) of every configuration, with each
+    # target listed twice so that repeats are covered too
+    for n in range(1, 6):
+        for r in range(5):
+            targets = [list(range(n)) * 2] * n
+            assert_moves_match_scalar_ranks(enumerate_configurations(n, r), targets)
+
+
+@pytest.mark.parametrize("L", [2, 3, 5, 8])
+def test_move_ranks_across_the_torus_wrap(L):
+    # on the ring the moves 0 -> L-1 and L-1 -> 0 cross the most positions;
+    # L = 2 lists the one neighbor twice
+    graph = Torus(1, L)
+    targets = [graph.neighbors(v) for v in range(L)]
+    assert L - 1 in targets[0] and 0 in targets[L - 1]
+    assert_moves_match_scalar_ranks(enumerate_configurations(L, 4), targets)
 
 
 def test_unrank_range_check():

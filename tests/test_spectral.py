@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -7,14 +8,12 @@ from scipy import sparse
 
 from zrpgap import spectral
 from zrpgap.configurations import (
-    _lex_ranks,
-    _rank_table,
     enumerate_configurations,
+    move_ranks,
     rank_configuration,
     transitions,
-    unrank_configuration,
 )
-from zrpgap.errors import SolverConvergenceError
+from zrpgap.errors import CapacityError, SolverConvergenceError
 from zrpgap.graphs import Complete, Torus
 from zrpgap.seeding import make_generator
 from zrpgap.spectral import (
@@ -88,6 +87,78 @@ def test_generator_symmetric_with_uniform_stationary(graph, r):
     # uniform stationarity: column sums vanish
     assert np.abs(q.sum(axis=0)).max() < 1e-12
     assert np.abs(q.sum(axis=1)).max() < 1e-12
+
+
+# SHA-256 of the CSR ``indptr``, ``indices`` and ``data`` buffers (int32,
+# int32, float64, little-endian), taken from the per-(v, w) re-ranking
+# assembly that the prefix-table kernel replaced: any change to the order,
+# values or dtypes of the assembled matrix shows here.
+PINNED_GENERATORS = [
+    (Complete(2), 5, (
+        "2fa74b5d18466b36157bb42a4e830422c68ed859a5f5b508953444ee348142bb",
+        "365952b171aa1c74ce38830e1aba09ffd43a1a9455938c7da908c52e5f4f43a5",
+        "3cd6171f5b580d28f22166ab71ed58d7dd9be9d1ec9fe73fe96a8f04c2f17dc5",
+    )),
+    (Torus(1, 2), 5, (
+        "2fa74b5d18466b36157bb42a4e830422c68ed859a5f5b508953444ee348142bb",
+        "365952b171aa1c74ce38830e1aba09ffd43a1a9455938c7da908c52e5f4f43a5",
+        "3cd6171f5b580d28f22166ab71ed58d7dd9be9d1ec9fe73fe96a8f04c2f17dc5",
+    )),
+    (Torus(3, 2), 3, (
+        "23ae47c6972e3ba1858433990842824c206fea75afb4e9a880ed6749fd49f154",
+        "96b0912736bc80ed0a12582bbfd07872ea6aac13203a24a81dbd3bbb3ace1616",
+        "fe7daaeb474fe9cd4c167f0d753672063c555ace7939d49cb9baaf09f0601eb7",
+    )),
+    (Complete(9), 6, (
+        "de34251168810c231f5d6739752c45d7ef322d7fea780e7a68737ceac3ce77e2",
+        "7b8db68f12a4bcd14e427f1d223797ed5c2279a178a68ef716b94e5ab3ec1caa",
+        "b137c378db0eb245c39b5083398b70e490778a27a0921268f2b76a84ab5f3203",
+    )),
+    (Torus(2, 3), 6, (
+        "141a29ab0fc3a3c3008e62a130a4248942a43782cfbe90a0264a7bfebdda1df0",
+        "5049eb94584ffacd80f233c23c9c6012146c10a7737c7316f97637435dd5c137",
+        "e5bb26a21f191c5a6816dc85b66dff6502fe8cab250a91f844acf729e776cbbe",
+    )),
+    (Torus(1, 7), 7, (
+        "61dbf801100389121aa8a71661909be9667cb0f6d56a5503d3a0ae91ad99308d",
+        "1575c002900305f5c3fef3a9dee8c0b93dffe9d0cbf01ee93a1cae41a4a86aa4",
+        "c9842cf4ab83d5936fba5776e06d5a8220281af33b665019888ca0485c57d101",
+    )),
+    (Torus(1, 3), 0, (
+        "01acecb507abfe1a354aa8064f4af5d3f1acd019e37db3c11c97523b71c76e9d",
+        "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
+        "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+    )),
+    (Torus(3, 3), 2, (
+        "fbd6f16ad1b9e196d1f6c06a7a2959042581750e7c4255feace3e98c9faf385b",
+        "0a55d5df8b3b313d146c3bdf4742de6499fa37b730a12c63a02b0e713ce3f8a7",
+        "90f42ee15b97dc8d386d80b5183718eaeff5b95dc5861c9adcbf6e3619e57d1c",
+    )),
+    (Torus(2, 2), 4, (
+        "95cec7e384019046689d9b49850e39b6c0e616b9c3f144196984b0440c32dc5c",
+        "73a92408b2fd9e4a887b4d63ed4adcd3f37a66bfa3c280e143505fe2cb3393f3",
+        "21f36c29e33e9c1ec345e0fd261fc33b710613847db5e706ac657c5e7fd0423c",
+    )),
+    (Complete(4), 0, (
+        "01acecb507abfe1a354aa8064f4af5d3f1acd019e37db3c11c97523b71c76e9d",
+        "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
+        "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+    )),
+    (Torus(1, 8), 12, (
+        "89d797a02d043d9a66d3742b8e58d9e0d2d136703d5ea8b88d177af01de5f727",
+        "05b85136edb8af281c1b9ebe3856b740f9d0f64ff97c0c32e03343d7d5314923",
+        "28a6bf544e2837e3de60dde82a48e4d065a1603bab32b454eeac854357ea7010",
+    )),
+]
+
+
+@pytest.mark.parametrize(
+    "graph,r,digests", PINNED_GENERATORS, ids=[f"{g}-r{r}" for g, r, _ in PINNED_GENERATORS]
+)
+def test_generator_bytes_are_pinned(graph, r, digests):
+    q = build_generator(graph, r).matrix
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (q.indptr, q.indices, q.data))
+    assert got == digests
 
 
 def test_spectrum_real_nonnegative_simple_zero():
@@ -183,14 +254,20 @@ def test_iterative_needs_three_states():
         exact_gap(build_generator(Complete(2), 1), method="iterative")
 
 
-@pytest.mark.parametrize("n,r", [(2, 7), (3, 4), (5, 5), (9, 3), (12, 10), (30, 6)])
+@pytest.mark.parametrize("n,r", [(2, 7), (3, 4), (5, 5), (9, 3), (12, 5), (30, 3)])
 def test_vectorized_ranks_match_rank_configuration(n, r):
+    # all n^2 moves out of up to 20 sampled configurations per source vertex
     rng = make_generator(n * 100 + r)
-    total = math.comb(n + r - 1, r)
-    picks = rng.integers(total, size=min(total, 300))
-    configs = [unrank_configuration(int(i), n, r) for i in picks]
-    ranks = _lex_ranks(np.array(configs), _rank_table(n, r))
-    assert ranks.tolist() == [rank_configuration(c) for c in configs]
+    configs = enumerate_configurations(n, r)
+    for v, (src, ranks) in enumerate(move_ranks(configs, [range(n)] * n)):
+        picks = rng.choice(src.size, size=min(src.size, 20), replace=False)
+        for col in picks.tolist():
+            occ = configs[src[col]].tolist()
+            for w in range(n):
+                moved = list(occ)
+                moved[v] -= 1
+                moved[w] += 1
+                assert ranks[w, col] == rank_configuration(moved)
 
 
 def test_transient_distribution_is_stochastic():
@@ -229,6 +306,28 @@ def test_uniformization_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_transient_distribution_rejects_non_finite_times(t):
+    gen = build_generator(Complete(3), 2)
+    with pytest.raises(ValueError, match="finite"):
+        transient_distribution(gen, (2, 0, 0), [0.0, t])
+
+
+def test_uniformization_budget_is_checked_before_the_series(monkeypatch):
+    # exit rate 2 on Complete(3) r=2: a Poisson mean of 2e300, where the
+    # quantile turns to nan, and a mean just past the budget are both refused
+    # without evaluating the quantile
+    gen = build_generator(Complete(3), 2)
+
+    def no_quantile(*args):
+        raise AssertionError("poisson_isf called")
+
+    monkeypatch.setattr(spectral, "poisson_isf", no_quantile)
+    for t_max in (1e300, 0.5 * spectral.UNIFORMIZATION_MAX_TERMS + 1.0):
+        with pytest.raises(CapacityError, match="budget"):
+            transient_distribution(gen, (2, 0, 0), [0.0, t_max])
 
 
 def test_tv_curve_point_start():
