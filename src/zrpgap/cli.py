@@ -48,6 +48,8 @@ from .reversal import (
     sample_hitting_times,
 )
 from .spectral import (
+    UNIFORMIZATION_MAX_TERMS,
+    UNIFORMIZATION_TAIL,
     WILSON_VARIANTS,
     build_generator,
     exact_gap,
@@ -61,6 +63,7 @@ from .stats import (
     fit_exponential_tail,
     occupancy_stats,
     poisson_concentration,
+    poisson_truncation,
     rw_no_return_probability,
     skellam_table,
 )
@@ -155,8 +158,14 @@ def _cmd_exact_gap(args):
 def _cmd_tv_curve(args):
     if args.points < 2:
         raise ConfigError("--points must be at least 2")
+    if args.t_max < 0:
+        raise ConfigError("--t-max must be non-negative")
     graph = _resolve_graph(args)
     r, echo = _resolve_particles(args, graph.vertex_count)
+    # the uniformization rate, the largest exit rate, is min(r, n): refuse an
+    # over-budget series as _uniformize would, before any state is built
+    poisson_truncation(min(r, graph.vertex_count) * args.t_max,
+                       UNIFORMIZATION_TAIL, UNIFORMIZATION_MAX_TERMS - 1)
     gen = build_generator(graph, r, max_states=args.max_states)
     times = [args.t_max * k / (args.points - 1) for k in range(args.points)]
     start = point_mass(graph.vertex_count, r)
@@ -223,7 +232,9 @@ def _cmd_certificate(args):
 
 
 def _cmd_couple(args):
-    horizon = args.horizon or default_horizon(args.n, args.r, args.replicas)
+    horizon = args.horizon
+    if horizon is None:
+        horizon = default_horizon(args.n, args.r, args.replicas)
     runs = sample_coupling_times(args.n, args.r, args.replicas, args.seed, horizon)
     lines = ["replica,seed,T,censored," + ",".join(
         f"stage_{j}" for j in range(args.r)
@@ -266,7 +277,7 @@ def _cmd_zeta_balance(args):
 
 def _cmd_reversal_w(args):
     c_const = WINDOW_CONSTANT if args.c_param is None else args.c_param
-    horizon = args.horizon or 1e6
+    horizon = 1e6 if args.horizon is None else args.horizon
     runs = sample_hitting_times(args.n, args.j, args.replicas, args.seed,
                                 horizon, c_const)
     lines = ["replica,W,censored,mean_drift,B_final,M_max"]
@@ -408,6 +419,16 @@ def _str_list(text: str) -> list[str]:
     return [x for x in text.split(",") if x]
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zrpgap",
@@ -448,9 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, max_states=True)
     add_graph(p)
     add_particles(p)
-    p.add_argument("--t-max", dest="t_max", type=float, default=10.0)
+    p.add_argument("--t-max", dest="t_max", type=_finite_float, default=10.0)
     p.add_argument("--points", type=int, default=41)
-    p.add_argument("--fit-window", dest="fit_window", type=float, nargs=2, default=None)
+    p.add_argument("--fit-window", dest="fit_window", type=_finite_float, nargs=2, default=None)
     p.set_defaults(func=_cmd_tv_curve)
 
     p = sub.add_parser("wilson", help="cosine test-function bounds on the gap")
@@ -475,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--r", type=int, default=None,
                    help="compute tau2 exactly for this particle count")
-    p.add_argument("--tau2", type=float, default=None)
+    p.add_argument("--tau2", type=_finite_float, default=None)
     p.set_defaults(func=_cmd_certificate)
 
     p = sub.add_parser("couple", help="sample coupling times and fit the tail")
@@ -483,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--replicas", type=int, default=2000)
-    p.add_argument("--horizon", type=float, default=None)
+    p.add_argument("--horizon", type=_finite_float, default=None)
     p.add_argument("--bootstrap", type=int, default=200)
     p.set_defaults(func=_cmd_couple)
 
@@ -499,8 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--replicas", type=int, default=2000)
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--c-param", dest="c_param", type=float, default=None)
+    p.add_argument("--horizon", type=_finite_float, default=None)
+    p.add_argument("--c-param", dest="c_param", type=_finite_float, default=None)
     p.add_argument("--bootstrap", type=int, default=200)
     p.set_defaults(func=_cmd_reversal_w)
 
@@ -509,22 +530,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--replicas", type=int, default=10_000)
-    p.add_argument("--t-ref", dest="t_ref", type=float, default=5.0)
-    p.add_argument("--c-param", dest="c_param", type=float, default=None)
+    p.add_argument("--t-ref", dest="t_ref", type=_finite_float, default=5.0)
+    p.add_argument("--c-param", dest="c_param", type=_finite_float, default=None)
     p.set_defaults(func=_cmd_drift)
 
     p = sub.add_parser("occupancy", help="empty-time statistics of a single run")
     add_common(p, seed=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--horizon", type=float, default=10_000.0)
-    p.add_argument("--m-param", dest="m_param", type=float, default=1.0)
+    p.add_argument("--horizon", type=_finite_float, default=10_000.0)
+    p.add_argument("--m-param", dest="m_param", type=_finite_float, default=1.0)
     p.set_defaults(func=_cmd_occupancy)
 
     p = sub.add_parser("tails", help="Poisson-difference tables and no-return estimates")
     add_common(p, seed=False)
     p.add_argument("--kind", choices=["skellam", "poisson", "rw"], required=True)
-    p.add_argument("--lam", type=float, default=1.0)
+    p.add_argument("--lam", type=_finite_float, default=1.0)
     p.add_argument("--m", type=_int_list, default=[0, 1, 2])
     p.add_argument("--r-values", dest="r_values", type=_int_list, default=[1, 2, 3, 4])
     p.add_argument("--replicas", type=int, default=100_000)

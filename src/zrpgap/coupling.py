@@ -85,15 +85,6 @@ class _Copy:
         return self.matched[v] + (1 if self.active == v else 0)
 
 
-@dataclass(frozen=True)
-class EventDraw:
-    """One uniformized event: firing vertex, destination, holding time."""
-
-    vertex: int
-    destination: int
-    dt: float
-
-
 class CoupledState:
     """Mutable working state of one coupling run."""
 
@@ -308,17 +299,6 @@ def init_coupling(
         rng=rng,
         check_invariants=check_invariants,
     )
-
-
-def advance(state: CoupledState, draw: EventDraw) -> CoupledState:
-    """Apply one event draw to the coupled pair and settle phase markers."""
-    if state.coalesced:
-        raise ValueError("state already coalesced")
-    v, w = draw.vertex, draw.destination
-    if not (0 <= v < state.n and 0 <= w < state.n) or v == w:
-        raise ValueError("draw must fire one vertex toward a different one")
-    _advance(state, [v], [w], [float(state.clock + draw.dt)], 0, 1)
-    return state
 
 
 @dataclass(frozen=True)

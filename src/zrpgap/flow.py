@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .configurations import configuration_count, enumerate_configurations, move_ranks
 from .errors import CapacityError
-from .graphs import Torus, all_pairs_bfs, bfs_distance_counts
+from .graphs import Torus, all_pairs_bfs
 
 
 def _directed_edges(graph):
@@ -203,17 +203,13 @@ def comparison_certificate(
     )
 
 
-def all_shortest_paths(graph, u, v, dists=None):
+def all_shortest_paths(graph, u, v, dists):
     """Every shortest u->v path as a vertex tuple (exhaustive; small graphs).
 
-    Only the distance rows of u and v are read (the graphs are undirected,
-    so dist(w, v) = dist(v, w)); without ``dists`` they come from two BFS.
+    Only the distance rows ``dists[u]`` and ``dists[v]`` are read (the
+    graphs are undirected, so dist(w, v) = dist(v, w)).
     """
-    if dists is None:
-        from_u = bfs_distance_counts(graph, u)[0]
-        from_v = bfs_distance_counts(graph, v)[0]
-    else:
-        from_u, from_v = dists[u], dists[v]
+    from_u, from_v = dists[u], dists[v]
     paths = []
 
     def extend(x, acc):

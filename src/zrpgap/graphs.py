@@ -145,19 +145,7 @@ def bfs_distance_counts(graph: GraphSpec, source: int) -> tuple[list[int], list[
     return dist, count
 
 
-def shortest_path_data(graph: GraphSpec, u: int, v: int) -> tuple[int, int]:
-    """Graph distance from u to v and the number of distinct shortest paths."""
-    if not 0 <= v < graph.vertex_count:
-        raise ValueError(f"vertex {v} out of range")
-    dist, count = bfs_distance_counts(graph, u)
-    return dist[v], count[v]
-
-
 def all_pairs_bfs(graph: GraphSpec) -> tuple[list[list[int]], list[list[int]]]:
     """Distance and shortest-path-count rows from every source, one BFS each."""
     rows = [bfs_distance_counts(graph, u) for u in range(graph.vertex_count)]
     return [d for d, _ in rows], [c for _, c in rows]
-
-
-def diameter(graph: GraphSpec) -> int:
-    return max(max(row) for row in all_pairs_bfs(graph)[0])

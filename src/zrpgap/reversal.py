@@ -75,8 +75,9 @@ class TaggedPairChain:
     def state_index(self, state) -> int:
         return self._index[state]
 
-    def __post_init__(self):
-        self._index = {s: i for i, s in enumerate(self.states)}
+    @functools.cached_property
+    def _index(self) -> dict:
+        return {s: i for i, s in enumerate(self.states)}
 
     @functools.cached_property
     def _pi_cumulative(self) -> list:
@@ -395,8 +396,8 @@ class DriftParams:
     c_const: float
 
     def __post_init__(self):
-        if self.c_const <= 0:
-            raise ValueError("the window constant c must be positive")
+        if not 0 < self.c_const < math.inf:
+            raise ValueError("the window constant c must be positive and finite")
 
     @functools.cached_property
     def scale(self) -> float:
@@ -642,8 +643,8 @@ def drift_check(
     """
     if replicas < 2:
         raise ValueError("need at least two replicas for a standard error")
-    if t_ref <= 0:
-        raise ValueError("t_ref must be positive")
+    if not 0 < t_ref < math.inf:
+        raise ValueError("t_ref must be positive and finite")
     chain = build_tagged_pair_chain(n, high_count)
     increments = np.empty(replicas)
     for i, (replica_seed, rng) in enumerate(replica_generators(seed, range(replicas))):

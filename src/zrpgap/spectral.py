@@ -29,14 +29,14 @@ from .configurations import (
     rank_configuration,
     validate_configuration,
 )
-from .errors import CapacityError, SolverConvergenceError
+from .errors import SolverConvergenceError
 from .graphs import GraphSpec, Torus
 from .seeding import make_generator
 from .stats import (
     empty_probability_exact,
     occupancy_marginal_moments,
-    poisson_isf,
     poisson_pmf,
+    poisson_truncation,
 )
 
 # Dense ``eigh`` and the deflated Lanczos solve of ``exact_gap`` cost the same
@@ -223,15 +223,7 @@ def _uniformize(
     if lam <= 0.0:
         out[:] = start_vector
         return out
-    # the series runs past the Poisson mean, so a mean above the budget is
-    # refused before the quantile, which turns to nan near a mean of 1e12
-    mean = lam * float(times.max())
-    kmax = int(poisson_isf(tail_tol, mean)) + 1 if mean <= max_terms else math.inf
-    if kmax > max_terms:
-        raise CapacityError(
-            f"uniformization to Poisson mean {mean:.6g} needs more than the "
-            f"{max_terms} term budget"
-        )
+    kmax = poisson_truncation(lam * float(times.max()), tail_tol, max_terms - 1) + 1
     kernel_t = (sparse.identity(dim, format="csr") + matrix / lam).T
     mu = np.array(start_vector, dtype=float)
     for first in range(0, kmax + 1, UNIFORMIZATION_BLOCK):

@@ -18,6 +18,7 @@ import numpy as np
 from scipy import special
 
 from .configurations import random_configuration, validate_configuration
+from .errors import CapacityError
 from .seeding import derive_seed, make_generator, replica_generators
 
 
@@ -133,8 +134,8 @@ def occupancy_stats(
     """
     if n < 2 or r < 0:
         raise ValueError("need n >= 2 and r >= 0")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
     if rng is None:
         rng = make_generator(seed)
     if start == "stationary":
@@ -350,6 +351,25 @@ def poisson_isf(q, mu):
     return np.where(special.pdtr(below, mu) >= p, below, vals)[()]
 
 
+def poisson_truncation(mean: float, tail: float, max_terms: int) -> int:
+    """The ``tail`` quantile of Poisson(``mean``) from :func:`poisson_isf`,
+    refused as a CapacityError above ``max_terms``.
+
+    The quantile is never below the mean for the tails used here, so a mean
+    above the budget is refused before the quantile is computed: it turns
+    to nan near a mean of 1e12.
+    """
+    if not math.isfinite(mean) or mean < 0:
+        raise ValueError(f"Poisson mean must be finite and non-negative, got {mean!r}")
+    kmax = int(poisson_isf(tail, mean)) if mean <= max_terms else math.inf
+    if kmax > max_terms:
+        raise CapacityError(
+            f"truncating Poisson mean {mean:.6g} at tail {tail:.3g} needs more "
+            f"than the {max_terms} term budget"
+        )
+    return kmax
+
+
 # ---------------------------------------------------------------------------
 # Poisson-difference (Skellam) tables
 # ---------------------------------------------------------------------------
@@ -363,9 +383,7 @@ def skellam_tail(lam: float, m: int) -> float:
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    kmax = int(poisson_isf(1e-14 / 4.0, lam)) + 2
-    if kmax > 10_000_000:
-        raise ValueError("truncation budget exceeded")
+    kmax = poisson_truncation(lam, 1e-14 / 4.0, 10_000_000 - 2) + 2
     xs = np.arange(kmax + 1)
     px = poisson_pmf(xs, lam)
     cdf = poisson_cdf(xs - m, lam)
@@ -392,8 +410,8 @@ def skellam_tail_bessel(lam: float, m: int) -> float:
 
 def poisson_concentration(lam: float) -> float:
     """Exact P(|X - lam| >= lam/2) for X ~ Poisson(lam)."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
     lo = math.floor(lam / 2.0)
     hi = math.ceil(1.5 * lam)
     return float(poisson_cdf(lo, lam) + poisson_sf(hi - 1, lam))

@@ -130,11 +130,24 @@ def test_non_finite_density_is_a_config_error(rho, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_uniformization_budget_exit_code(tmp_path, capsys):
-    code, out = run_cli(
-        ["tv-curve", "--graph", "complete", "--n", "3", "--r", "2", "--t-max", "1e300"],
-        tmp_path, "budget",
-    )
+def test_uniformization_budget_exit_code(tmp_path, capsys, monkeypatch):
+    # the budget is checked at the exit rate min(r, n) before any assembly
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("build_generator called")
+
+    monkeypatch.setattr(cli, "build_generator", no_assembly)
+    for graph in ("--graph complete --n 3 --r 2", "--d 3 --L 3 --r 5"):
+        code, out = run_cli(
+            ["tv-curve", *graph.split(), "--t-max", "1e300"], tmp_path, "budget"
+        )
+        assert code == 2
+        assert "capacity error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("lam", ["1e7", "1e13"])
+def test_skellam_truncation_budget_exit_code(lam, tmp_path, capsys):
+    code, out = run_cli(["tails", "--kind", "skellam", "--lam", lam], tmp_path, "skellam")
     assert code == 2
     assert "capacity error" in capsys.readouterr().err
     assert not out.exists()
@@ -193,6 +206,21 @@ def test_every_flag_is_read():
             if not re.search(pattern, source):
                 unread.append(f"{name} {dest}")
     assert unread == []
+
+
+def test_no_flag_takes_a_bare_float():
+    # float() accepts inf and nan, which no computation here can use
+    parser = cli.build_parser()
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    bare = [
+        f"{name} {action.option_strings[0]}"
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        if action.type is float
+    ]
+    assert bare == []
 
 
 def test_readme_commands_parse():
@@ -449,6 +477,14 @@ def test_default_outdir_env(tmp_path, monkeypatch, capsys):
         "sweep --L-values 3 --rho-values 1,nan",
         "tv-curve --graph complete --n 3 --r 2 --t-max inf",
         "tv-curve --graph complete --n 3 --r 2 --t-max nan",
+        "tails --kind skellam --lam inf",
+        "tails --kind skellam --lam nan",
+        "tails --kind poisson --lam inf",
+        "occupancy --n 4 --r 4 --seed 1 --horizon inf",
+        "occupancy --n 4 --r 4 --seed 1 --horizon nan",
+        "occupancy --n 4 --r 4 --seed 1 --horizon 10 --m-param nan",
+        "drift --n 4 --j 1 --replicas 10 --seed 1 --t-ref nan",
+        "drift --n 4 --j 1 --replicas 10 --seed 1 --c-param nan",
     ],
 )
 def test_bad_values_exit_1_without_traceback(args, tmp_path, capsys):

@@ -7,8 +7,7 @@ from scipy import stats as sps
 
 from zrpgap.coupling import (
     CouplingRun,
-    EventDraw,
-    advance,
+    _advance,
     default_horizon,
     estimate_relaxation,
     init_coupling,
@@ -20,6 +19,12 @@ from zrpgap.coupling import (
 from zrpgap.graphs import Complete
 from zrpgap.seeding import derive_seed, make_generator
 from zrpgap.spectral import build_generator, transient_distribution
+
+
+def _step(state, v, w, dt):
+    """Feed one event, v firing toward w after a holding time dt, to the
+    coupling kernel."""
+    _advance(state, [v], [w], [state.clock + dt], 0, 1)
 
 
 def test_init_rejects_small_graphs():
@@ -65,7 +70,7 @@ def test_hand_executed_trajectory():
         ((0, 0, 2), (0, 0, 2), 2, True),   # stage 1 resolves immediately
     ]
     for (v, w), (eta, eta_p, stage, done) in zip(script, expected):
-        advance(state, EventDraw(v, w, 0.25))
+        _step(state, v, w, 0.25)
         assert state.one.occupancy() == eta
         assert state.two.occupancy() == eta_p
         assert state.stage == stage
@@ -81,7 +86,7 @@ def test_swap_phase_mirrors_moves():
     before_one = state.one.occupancy()
     before_two = state.two.occupancy()
     gap_before = abs(before_one[a] - before_one[b])
-    advance(state, EventDraw(a, 2, 0.1))
+    _step(state, a, 2, 0.1)
     after_one = state.one.occupancy()
     after_two = state.two.occupancy()
     # copy one lost at a, copy two lost at b, both gained at c = 2
@@ -91,15 +96,6 @@ def test_swap_phase_mirrors_moves():
     assert after_two[2] == before_two[2] + 1
     gap_after = abs(after_one[a] - after_one[b])
     assert abs(gap_before - gap_after) == 1
-
-
-def test_advance_validates_draws():
-    state = init_coupling((2, 0, 0), seed=1, eta_prime0=(0, 1, 1))
-    with pytest.raises(ValueError):
-        advance(state, EventDraw(1, 1, 0.1))
-    done = init_coupling((1, 1, 0), seed=5, eta_prime0=(1, 1, 0))
-    with pytest.raises(ValueError):
-        advance(done, EventDraw(0, 1, 0.1))
 
 
 def test_run_accounting_identities():
@@ -300,7 +296,7 @@ def test_late_observations_match_pinned_digest():
 
 def _replay(eta0, seed, horizon):
     """``run_to_coalescence``'s draw schedule fed one event at a time
-    through ``advance``: the final state and, after each applied event, the
+    through ``_step``: the final state and, after each applied event, the
     clock and both configurations."""
     state = init_coupling(eta0, seed)
     rng, n, inv_n = state.rng, state.n, 1.0 / state.n
@@ -314,7 +310,7 @@ def _replay(eta0, seed, horizon):
         for v, u, dt in zip(vs, us, dts):
             if state.clock + dt > horizon:
                 return state, trail
-            advance(state, EventDraw(v, u + 1 if u >= v else u, dt))
+            _step(state, v, u + 1 if u >= v else u, dt)
             trail.append((state.clock, state.one.occupancy(), state.two.occupancy()))
             if state.coalesced:
                 return state, trail
@@ -366,6 +362,3 @@ def test_run_floats_are_python_floats():
         if not run.censored:
             values.append(run.coupling_time)
     assert values and all(type(x) is float for x in values)
-    state = init_coupling((2, 0, 0), seed=1, eta_prime0=(0, 1, 1))
-    advance(state, EventDraw(0, 2, np.float64(0.25)))
-    assert type(state.clock) is float

@@ -12,7 +12,7 @@ from zrpgap.flow import (
     format_rational,
     induced_flow_check,
 )
-from zrpgap.graphs import Complete, Torus, bfs_distance_counts
+from zrpgap.graphs import Complete, Torus, all_pairs_bfs, bfs_distance_counts
 
 
 @pytest.mark.parametrize(
@@ -173,9 +173,10 @@ def test_induced_flow_refuses_before_enumerating(monkeypatch):
 
 
 def test_all_shortest_paths_enumeration():
-    paths = all_shortest_paths(Torus(1, 4), 0, 2)
+    ring, complete = Torus(1, 4), Complete(5)
+    paths = all_shortest_paths(ring, 0, 2, all_pairs_bfs(ring)[0])
     assert sorted(paths) == [(0, 1, 2), (0, 3, 2)]
-    assert all_shortest_paths(Complete(5), 1, 3) == [(1, 3)]
+    assert all_shortest_paths(complete, 1, 3, all_pairs_bfs(complete)[0]) == [(1, 3)]
 
 
 @pytest.fixture
@@ -188,7 +189,6 @@ def bfs_sources(monkeypatch):
         return bfs_distance_counts(graph, source)
 
     monkeypatch.setattr(graphs, "bfs_distance_counts", counted)
-    monkeypatch.setattr(flow, "bfs_distance_counts", counted)
     return calls
 
 
@@ -199,6 +199,12 @@ def test_induced_flow_runs_one_all_pairs_bfs(bfs_sources):
 
 
 def test_all_shortest_paths_runs_two_bfs(bfs_sources):
-    paths = all_shortest_paths(Torus(2, 3), 0, 4)
+    # the enumeration reads only the distance rows of its two endpoints and
+    # runs no BFS of its own
+    graph = Torus(2, 3)
+    dists = [None] * graph.vertex_count
+    for u in (0, 4):
+        dists[u] = graphs.bfs_distance_counts(graph, u)[0]
+    paths = all_shortest_paths(graph, 0, 4, dists)
     assert sorted(paths) == [(0, 1, 4), (0, 3, 4)]
     assert sorted(bfs_sources) == [0, 4]

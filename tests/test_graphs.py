@@ -8,10 +8,9 @@ from zrpgap.flow import all_shortest_paths
 from zrpgap.graphs import (
     Complete,
     Torus,
+    all_pairs_bfs,
     bfs_distance_counts,
-    diameter,
     graph_from_json,
-    shortest_path_data,
 )
 
 
@@ -53,30 +52,36 @@ def test_invalid_parameters_rejected():
         Complete(3).neighbors(3)
 
 
+def dist_count(graph, u, v):
+    """Distance from u to v and the number of shortest paths, from u's BFS."""
+    dist, count = bfs_distance_counts(graph, u)
+    return dist[v], count[v]
+
+
 def test_shortest_path_examples():
-    assert shortest_path_data(Torus(1, 5), 0, 2) == (2, 1)
-    assert shortest_path_data(Torus(1, 4), 0, 2) == (2, 2)
+    assert dist_count(Torus(1, 5), 0, 2) == (2, 1)
+    assert dist_count(Torus(1, 4), 0, 2) == (2, 2)
     t = Torus(2, 3)
-    assert shortest_path_data(t, t.vertex((0, 0)), t.vertex((1, 1))) == (2, 2)
-    assert shortest_path_data(Complete(6), 1, 4) == (1, 1)
-    assert shortest_path_data(Torus(1, 5), 3, 3) == (0, 1)
+    assert dist_count(t, t.vertex((0, 0)), t.vertex((1, 1))) == (2, 2)
+    assert dist_count(Complete(6), 1, 4) == (1, 1)
+    assert dist_count(Torus(1, 5), 3, 3) == (0, 1)
 
 
 @pytest.mark.parametrize("graph", [Torus(1, 4), Torus(1, 5), Torus(2, 3), Complete(5)])
 def test_path_counts_match_exhaustive_enumeration(graph):
-    dists = [bfs_distance_counts(graph, u)[0] for u in range(graph.vertex_count)]
+    dists, counts = all_pairs_bfs(graph)
     for u in range(graph.vertex_count):
-        _, counts = bfs_distance_counts(graph, u)
         for v in range(graph.vertex_count):
             if u == v:
                 continue
             paths = all_shortest_paths(graph, u, v, dists)
-            assert len(paths) == counts[v]
+            assert len(paths) == counts[u][v]
 
 
 def test_torus_counts_match_closed_form():
     # multinomial over per-axis step counts, doubled for each antipodal axis
     g = Torus(2, 4)
+    dists, counts = all_pairs_bfs(g)
     for u in range(g.vertex_count):
         for v in range(g.vertex_count):
             cu, cv = g.coords(u), g.coords(v)
@@ -92,16 +97,20 @@ def test_torus_counts_match_closed_form():
             expected = arcs * math.factorial(total)
             for k in steps:
                 expected //= math.factorial(k)
-            assert shortest_path_data(g, u, v) == (total, expected)
+            assert (dists[u][v], counts[u][v]) == (total, expected)
 
 
 def test_shortest_path_symmetry():
     for graph in (Torus(1, 6), Torus(2, 3), Complete(4)):
+        dists, counts = all_pairs_bfs(graph)
         for u, v in product(range(graph.vertex_count), repeat=2):
-            assert shortest_path_data(graph, u, v) == shortest_path_data(graph, v, u)
+            assert (dists[u][v], counts[u][v]) == (dists[v][u], counts[v][u])
 
 
 def test_diameter():
+    def diameter(graph):
+        return max(map(max, all_pairs_bfs(graph)[0]))
+
     assert diameter(Torus(1, 3)) == 1
     assert diameter(Torus(1, 4)) == 2
     assert diameter(Torus(2, 3)) == 2

@@ -129,6 +129,14 @@ def test_attempt_rates_capacity_guard():
         reversed_attempt_rates(10, 8)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_drift_rejects_non_finite_parameters(bad):
+    with pytest.raises(ValueError, match="finite"):
+        DriftParams(density=1.0, c_const=bad)
+    with pytest.raises(ValueError, match="finite"):
+        drift_check(4, 1, replicas=10, seed=1, c_const=0.3, t_ref=bad)
+
+
 def test_drift_parameter_values():
     params = DriftParams(density=0.0, c_const=32.0)  # scale 64*1/32 = 2
     assert params.scale == pytest.approx(2.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from zrpgap import spectral
+from zrpgap import spectral, stats
 from zrpgap.configurations import (
     enumerate_configurations,
     move_ranks,
@@ -324,7 +324,7 @@ def test_uniformization_budget_is_checked_before_the_series(monkeypatch):
     def no_quantile(*args):
         raise AssertionError("poisson_isf called")
 
-    monkeypatch.setattr(spectral, "poisson_isf", no_quantile)
+    monkeypatch.setattr(stats, "poisson_isf", no_quantile)
     for t_max in (1e300, 0.5 * spectral.UNIFORMIZATION_MAX_TERMS + 1.0):
         with pytest.raises(CapacityError, match="budget"):
             transient_distribution(gen, (2, 0, 0), [0.0, t_max])

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
+from zrpgap import stats
 from zrpgap.configurations import (
     enumerate_configurations,
     random_configuration,
     validate_configuration,
 )
+from zrpgap.errors import CapacityError
 from zrpgap.seeding import derive_seed, make_generator, splitmix64
 from zrpgap.spectral import UNIFORMIZATION_TAIL
 from zrpgap.stats import (
@@ -25,6 +27,7 @@ from zrpgap.stats import (
     poisson_isf,
     poisson_pmf,
     poisson_sf,
+    poisson_truncation,
     rw_no_return_exact,
     rw_no_return_probability,
     skellam_tail,
@@ -228,6 +231,39 @@ def test_poisson_isf_matches_scipy_bitwise(q):
     assert np.array_equal(poisson_isf(q, POISSON_MEANS), poisson.isf(q, POISSON_MEANS))
     for mu in (0.0, 1.0, 12.5, 4096.0):
         assert poisson_isf(q, mu) == poisson.isf(q, mu)
+
+
+def test_poisson_truncation_refuses_before_the_quantile(monkeypatch):
+    # the quantile turns to nan near a mean of 1e12, so a mean above the
+    # budget is refused without evaluating it
+    def no_quantile(*args):
+        raise AssertionError("poisson_isf called")
+
+    monkeypatch.setattr(stats, "poisson_isf", no_quantile)
+    for mean in (1e13, 1_000_001.0):
+        with pytest.raises(CapacityError, match="budget"):
+            poisson_truncation(mean, 1e-12, 1_000_000)
+
+
+def test_poisson_truncation_values_and_refusals():
+    assert poisson_truncation(12.5, 1e-12, 1_000) == poisson_isf(1e-12, 12.5)
+    assert poisson_truncation(0.0, 1e-12, 1) == 0
+    # the mean is within the budget, its quantile is not
+    with pytest.raises(CapacityError, match="budget"):
+        poisson_truncation(999_000.0, 1e-12, 1_000_000)
+    for mean in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="finite"):
+            poisson_truncation(mean, 1e-12, 1_000_000)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_parameters_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        occupancy_stats(4, 4, bad, seed=1)
+    with pytest.raises(ValueError, match="finite"):
+        poisson_concentration(bad)
+    with pytest.raises(ValueError, match="finite"):
+        skellam_tail(bad, 0)
 
 
 def test_skellam_values():
