@@ -31,11 +31,7 @@ from .graphs import Torus, all_pairs_bfs
 
 
 def _directed_edges(graph):
-    out = []
-    for a in range(graph.vertex_count):
-        for b in set(graph.neighbors(a)):
-            out.append((a, b))
-    return out
+    return [(a, b) for a, row in enumerate(graph.neighbor_table) for b in set(row)]
 
 
 @dataclass(frozen=True)
@@ -99,7 +95,7 @@ def _edge_loads(graph: Torus, dists, counts) -> EdgeLoadReport:
     its own, so the uniformity check below stays a real check.
     """
     n = graph.vertex_count
-    neighbors = [graph.neighbors(x) for x in range(n)]
+    neighbors = graph.neighbor_table
     edges = _directed_edges(graph)
     common = math.lcm(*(c for row in counts for c in row))
     numerators = [0] * len(edges)
@@ -182,6 +178,8 @@ def comparison_certificate(
     graph: Torus, tau2: float | None = None, loads: EdgeLoadReport | None = None
 ) -> ComparisonCertificate:
     """Congestion/length certificate for the torus-vs-complete comparison."""
+    if tau2 is not None and not tau2 >= 0:
+        raise ValueError("tau2 must be a non-negative relaxation time")
     if loads is None:
         loads = edge_loads(graph)
     n = graph.vertex_count
@@ -210,13 +208,14 @@ def all_shortest_paths(graph, u, v, dists):
     graphs are undirected, so dist(w, v) = dist(v, w)).
     """
     from_u, from_v = dists[u], dists[v]
+    neighbors = graph.neighbor_table
     paths = []
 
     def extend(x, acc):
         if x == v:
             paths.append(tuple(acc))
             return
-        for w in set(graph.neighbors(x)):
+        for w in set(neighbors[x]):
             if from_u[w] == from_u[x] + 1 and from_v[w] == from_v[x] - 1:
                 acc.append(w)
                 extend(w, acc)
@@ -268,7 +267,7 @@ def induced_flow_check(graph: Torus, r: int) -> InducedFlowCheck:
     occ = enumerate_configurations(n, r, limit=50_000)
     dists, counts = all_pairs_bfs(graph)
     common = math.lcm(*(c for row in counts for c in row))
-    mult = {(a, b): graph.neighbors(a).count(b) for a, b in _directed_edges(graph)}
+    mult = {(a, b): graph.neighbor_table[a].count(b) for a, b in _directed_edges(graph)}
 
     routed = []  # per source u: (vertex edge, flow numerator summed over targets)
     for u in range(n):

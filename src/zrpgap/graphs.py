@@ -13,12 +13,22 @@ reported as "degenerate-torus" downstream.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 
 
+class _NeighborTable:
+    """The neighbor lists of a frozen graph, kept on the graph once built."""
+
+    @functools.cached_property
+    def neighbor_table(self) -> tuple[tuple[int, ...], ...]:
+        """``neighbors(v)`` for every vertex v, built once per graph."""
+        return tuple(self.neighbors(v) for v in range(self.vertex_count))
+
+
 @dataclass(frozen=True)
-class Torus:
+class Torus(_NeighborTable):
     """The discrete torus (Z/LZ)^d."""
 
     d: int
@@ -77,7 +87,7 @@ class Torus:
 
 
 @dataclass(frozen=True)
-class Complete:
+class Complete(_NeighborTable):
     """The complete graph on n vertices (no self-loops)."""
 
     n: int
@@ -125,7 +135,8 @@ def bfs_distance_counts(graph: GraphSpec, source: int) -> tuple[list[int], list[
     Counts use Python integers, so they never overflow.  Parallel edges
     (degenerate torus) contribute separate paths.
     """
-    n = graph.vertex_count
+    neighbors = graph.neighbor_table
+    n = len(neighbors)
     dist = [-1] * n
     count = [0] * n
     dist[source] = 0
@@ -135,7 +146,7 @@ def bfs_distance_counts(graph: GraphSpec, source: int) -> tuple[list[int], list[
         x = queue.popleft()
         dx = dist[x]
         cx = count[x]
-        for w in graph.neighbors(x):
+        for w in neighbors[x]:
             if dist[w] == -1:
                 dist[w] = dx + 1
                 count[w] = cx

@@ -42,11 +42,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 
-from .configurations import enumerate_configurations
+from .configurations import enumerate_configurations, move_ranks
 from .errors import CapacityError
 from .seeding import derive_seed, make_generator, replica_generators
 from .spectral import _uniformize
@@ -114,13 +115,9 @@ class TaggedPairChain:
         }
 
 
-def _tagged_space(n: int, high_count: int, max_states: int):
-    """States (merged first), their index, and the integer weights pi.
-
-    Proper states are (eta, s, t): tags on distinct vertices, highs
-    anywhere, n (n-1) C(n+j-1, j) of them; the count is checked against
-    ``max_states`` before any state is built.
-    """
+def _check_chain_size(n: int, high_count: int, max_states: int) -> None:
+    """Check the number of chain states, n (n-1) C(n+j-1, j) proper ones
+    plus the merged one, against ``max_states`` before any is built."""
     if n < 2:
         raise ValueError("need n >= 2")
     if high_count < 0:
@@ -128,6 +125,15 @@ def _tagged_space(n: int, high_count: int, max_states: int):
     size = n * (n - 1) * math.comb(n + high_count - 1, high_count) + 1
     if size > max_states:
         raise CapacityError(f"{size} chain states exceed the limit {max_states}")
+
+
+def _tagged_space(n: int, high_count: int, max_states: int):
+    """States (merged first), their index, and the integer weights pi.
+
+    Proper states are (eta, s, t): tags on distinct vertices, highs
+    anywhere, ordered by s, then t, then the high configuration's rank.
+    """
+    _check_chain_size(n, high_count, max_states)
     highs = enumerate_configurations(n, high_count, limit=max_states).tolist()
     states = [MERGED]
     for s in range(n):
@@ -286,40 +292,96 @@ def reverse_chain(chain: TaggedPairChain, suppress_merged: bool = False) -> Tagg
     )
 
 
+class _Attempts(NamedTuple):
+    """Integer attempt rates out of every occupied vertex of every proper state.
+
+    Proper state k is chain state k + 1, with occupancies ``eta[k]`` and
+    tags ``tags[k] = (s, t)``.  Row i of the three ``(rows, n)`` arrays
+    belongs to the pair (``state[i]``, ``v[i]``) with v occupied, listed by
+    state and then v, and its column w holds the moves v -> w: a high
+    particle moves at rate ``high_num/den`` and the tag at v at rate
+    ``tag_num/den``.  A zero numerator marks a move that cannot happen.
+    """
+
+    state: np.ndarray
+    v: np.ndarray
+    eta: np.ndarray
+    tags: np.ndarray
+    high_num: np.ndarray
+    tag_num: np.ndarray
+    den: np.ndarray
+
+
+def _attempt_kernel(n: int, high_count: int) -> _Attempts:
+    """The attempt formula, stated once for the whole chain.
+
+    The pair (v, w) attempts at rate ((eta(w)+1)/(high(w)+1))/(n-1), and a
+    uniformly chosen particle at v moves: a high one always, a tag only
+    onto an empty w.  So the high move has numerator (eta(w)+1) high(v),
+    the tag move (eta(w)+1) when v holds a tag and w is empty, both over
+    (high(w)+1) (n-1) eta(v).
+    """
+    _check_chain_size(n, high_count, DEFAULT_MAX_CHAIN_STATES)
+    highs = enumerate_configurations(n, high_count)
+    pairs = np.array([(s, t) for s in range(n) for t in range(n) if s != t])
+    tags = pairs.repeat(len(highs), axis=0)
+    high = np.tile(highs, (len(pairs), 1))
+    tagged = np.zeros(high.shape, dtype=np.int64)
+    proper = np.arange(len(high))
+    tagged[proper, tags[:, 0]] = 1
+    tagged[proper, tags[:, 1]] = 1
+    eta = high + tagged
+    state, v = np.nonzero(eta)
+    eta_w = eta[state]
+    attempt = eta_w + 1
+    high_num = attempt * high[state, v][:, None]
+    high_num[np.arange(len(v)), v] = 0  # w = v is no move
+    tag_num = attempt * (tagged[state, v][:, None] * (eta_w == 0))
+    den = (high[state] + 1) * ((n - 1) * eta[state, v])[:, None]
+    return _Attempts(state, v, eta, tags, high_num, tag_num, den)
+
+
 def reversed_attempt_rates(n: int, high_count: int) -> TaggedPairChain:
     """Closed-form reversed rates from the attempt description.
 
-    For each ordered (v, w), attempts arrive at rate
-    ((eta(w)+1)/(high(w)+1))/(n-1); a uniformly chosen particle at v moves,
-    high particles always, tagged ones only onto empty vertices.  Used as an
-    independent construction to cross-check :func:`reverse_chain`.
+    The rates are :func:`_attempt_kernel`'s, each row listing its moves by
+    v, then w, then the high move before the tag move; each reaches its
+    own target.  Used as an independent construction to cross-check
+    :func:`reverse_chain`.
     """
-    states, index, pi = _tagged_space(n, high_count, DEFAULT_MAX_CHAIN_STATES)
-    rate = _rate_maker()
-    rates = [dict() for _ in states]
-    for i, state in enumerate(states[1:], start=1):
-        eta, s, t = state
-        high = _highs(state)
-        for v in range(n):
-            if eta[v] == 0:
-                continue
-            for w in range(n):
-                if w == v:
-                    continue
-                # attempt rate (eta(w)+1)/((high(w)+1)(n-1)) times the chance
-                # that the chosen particle at v is of the kind that moves;
-                # each (v, w) and kind reaches its own target, once per row
-                attempt_den = (high[w] + 1) * (n - 1) * eta[v]
-                moved = _moved(eta, v, w)
-                if high[v] > 0:
-                    j = index[(moved, s, t)]
-                    rates[i][j] = rate((eta[w] + 1) * high[v], attempt_den)
-                if v in (s, t):
-                    # the tag at v moves with probability 1/eta(v), onto empty w
-                    if eta[w] == 0:
-                        target = (moved, w, t) if v == s else (moved, s, w)
-                        j = index[target]
-                        rates[i][j] = rate(eta[w] + 1, attempt_den)
+    states, _, pi = _tagged_space(n, high_count, DEFAULT_MAX_CHAIN_STATES)
+    a = _attempt_kernel(n, high_count)
+    highs = enumerate_configurations(n, high_count)
+    size = len(highs)
+    # moved[v, w, h]: the rank of high configuration h after a high v -> w
+    moved = np.zeros((n, n, size), dtype=np.int64)
+    for v, (src, ranks) in enumerate(move_ranks(highs, [range(n)] * n)):
+        moved[v][:, src] = ranks
+    # the possible moves in row order: by state, v, w, then high before tag
+    nums = np.stack([a.high_num, a.tag_num], axis=2)
+    row, w, tag = np.nonzero(nums)
+    num, den = nums[row, w, tag], a.den[row, w]
+    state, v = a.state[row], a.v[row]
+    s, t = a.tags[state].T
+    del a, nums, row  # the kernel's arrays outweigh the chain's rows
+    # chain index 1 + (tag pair) * size + (high rank)
+    rank = state % size
+    s = np.where(tag & (v == s), w, s)
+    t = np.where(tag & (v == t), w, t)
+    rank = np.where(tag, rank, moved[v, w, rank])
+    target = 1 + (s * (n - 1) + t - (t > s)) * size + rank
+    # one shared Fraction per distinct value, keyed by its lowest terms
+    gcd = np.gcd(num, den)
+    num, den = num // gcd, den // gcd
+    base = int(den.max(initial=0)) + 1
+    keys, which = np.unique(num * base + den, return_inverse=True)
+    shared = [Fraction(*divmod(key, base)) for key in keys.tolist()]
+    indices = list(range(len(states)))
+    entries = zip(
+        map(indices.__getitem__, target.tolist()), map(shared.__getitem__, which.tolist())
+    )
+    per_state = np.bincount(state, minlength=len(states) - 1).tolist()
+    rates = [{}] + [dict(itertools.islice(entries, k)) for k in per_state]
     return TaggedPairChain(
         n=n,
         high_count=high_count,
@@ -350,32 +412,19 @@ def reversed_rate_bounds_hold(n: int, high_count: int) -> bool:
     rate >= 1 - 1/eta(v).  The matching bound on attempts in, a total rate
     (eta(v)+1)/(high(v)+1) <= 1 + 1/eta(v), holds in every state: it reduces
     to eta(v) <= high(v) + 1, and the two tags sit on distinct vertices.
+
+    The total out of v sums :func:`_attempt_kernel`'s numerators over the
+    lcm of the row's denominators.  For every chain the state limit admits
+    the products compared stay below 2**51 (largest at n = 2), inside int64.
     """
-    chain = reversed_attempt_rates(n, high_count)
-    for i, state in enumerate(chain.states):
-        if state == MERGED:
-            continue
-        eta, s, t = state
-        if eta[s] == eta[t]:
-            continue
-        # expel[v]: total rate of moves out of v, over the row's common
-        # denominator; a move's source is the vertex whose occupancy drops
-        row = chain.rates[i]
-        den = math.lcm(*(q.denominator for q in row.values()))
-        expel = [0] * n
-        for j, q in row.items():
-            target = chain.states[j]
-            if target == MERGED:
-                continue
-            moved = target[0]
-            v = next(x for x in range(n) if moved[x] < eta[x])
-            expel[v] += q.numerator * (den // q.denominator)
-        for v in range(n):
-            # expel < 1 - 1/eta(v), cleared of denominators; never true
-            # at an empty vertex (0 < -den)
-            if expel[v] * eta[v] < (eta[v] - 1) * den:
-                return False
-    return True
+    a = _attempt_kernel(n, high_count)
+    eta_v = a.eta[a.state, a.v]
+    s, t = a.tags[a.state].T
+    unbalanced = a.eta[a.state, s] != a.eta[a.state, t]
+    common = np.lcm.reduce(a.den, axis=1)
+    expel = ((a.high_num + a.tag_num) * (common[:, None] // a.den)).sum(axis=1)
+    # expel < 1 - 1/eta(v), cleared of denominators
+    return not np.any(unbalanced & (expel * eta_v < (eta_v - 1) * common))
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +645,8 @@ def sample_hitting_times(
 ) -> list[ReversedRun]:
     if replicas < 1:
         raise ValueError("need at least one replica")
+    if not horizon >= 0:
+        raise ValueError("horizon must be non-negative")
     chain = build_tagged_pair_chain(n, high_count)
     return [
         simulate_reversed_hitting(chain, replica_seed, horizon, c_const, rng=rng)
@@ -668,18 +719,23 @@ def drift_check(
 # ---------------------------------------------------------------------------
 
 def _float_rates(chain: TaggedPairChain) -> sparse.csr_matrix:
-    """The off-diagonal rates as a float CSR matrix, column indices sorted."""
-    indptr = [0]
-    indices = []
-    data = []
-    for row in chain.rates:
-        for j in sorted(row):
-            indices.append(j)
-            data.append(float(row[j]))
-        indptr.append(len(indices))
+    """The off-diagonal rates as a float CSR matrix, column indices sorted.
+
+    The rows share a few dozen ``Fraction`` objects over all their entries,
+    so each distinct object, told apart by identity while ``values`` holds
+    them all, is converted to a float once.
+    """
+    counts = np.array([len(row) for row in chain.rates])
+    total = int(counts.sum())
+    columns = np.fromiter(itertools.chain.from_iterable(chain.rates), np.int64, total)
+    values = list(itertools.chain.from_iterable(row.values() for row in chain.rates))
+    as_float = {key: float(q) for key, q in dict(zip(map(id, values), values)).items()}
+    data = np.fromiter(map(as_float.__getitem__, map(id, values)), float, total)
+    # each row's entries by column: rows are already contiguous and in order
+    order = np.argsort(np.repeat(np.arange(chain.size), counts) * chain.size + columns)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
     return sparse.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr)),
-        shape=(chain.size, chain.size),
+        (data[order], columns[order], indptr), shape=(chain.size, chain.size)
     )
 
 

@@ -99,7 +99,7 @@ def build_generator(graph: GraphSpec, r: int, max_states: int = DEFAULT_MAX_CONF
     dim = len(occ)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
-    for src, ranks in move_ranks(occ, [graph.neighbors(v) for v in range(n)]):
+    for src, ranks in move_ranks(occ, graph.neighbor_table):
         rows.append(np.tile(src, len(ranks)))
         cols.append(ranks.ravel())
     diag = np.arange(dim)
@@ -398,7 +398,7 @@ def _vertex_dirichlet_terms(graph: GraphSpec, phi: np.ndarray) -> np.ndarray:
     terms = np.zeros(graph.vertex_count)
     for v in range(graph.vertex_count):
         acc = 0.0
-        for w in graph.neighbors(v):
+        for w in graph.neighbor_table[v]:
             diff = phi[w] - phi[v]
             acc += diff * diff
         terms[v] = acc / (2.0 * graph.degree)

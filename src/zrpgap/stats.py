@@ -136,6 +136,8 @@ def occupancy_stats(
         raise ValueError("need n >= 2 and r >= 0")
     if not 0 < horizon < math.inf:
         raise ValueError("horizon must be positive and finite")
+    if not m_param >= 0:
+        raise ValueError("m_param must be non-negative")
     if rng is None:
         rng = make_generator(seed)
     if start == "stationary":

@@ -485,6 +485,9 @@ def test_default_outdir_env(tmp_path, monkeypatch, capsys):
         "occupancy --n 4 --r 4 --seed 1 --horizon 10 --m-param nan",
         "drift --n 4 --j 1 --replicas 10 --seed 1 --t-ref nan",
         "drift --n 4 --j 1 --replicas 10 --seed 1 --c-param nan",
+        "reversal-w --n 4 --j 1 --replicas 10 --seed 1 --horizon -5",
+        "certificate --d 1 --L 4 --tau2 -3",
+        "occupancy --n 4 --r 4 --seed 1 --horizon 10 --m-param -1",
     ],
 )
 def test_bad_values_exit_1_without_traceback(args, tmp_path, capsys):

@@ -137,6 +137,13 @@ def test_certificate_without_tau2():
     assert cert.tau2 is None and cert.tau1_bound is None
 
 
+@pytest.mark.parametrize("bad", [-3.0, float("nan")])
+def test_certificate_rejects_bad_tau2(bad):
+    with pytest.raises(ValueError, match="tau2"):
+        comparison_certificate(Torus(1, 4), tau2=bad)
+    assert comparison_certificate(Torus(1, 4), tau2=0.0).tau1_bound == 0.0
+
+
 def test_format_rational():
     assert format_rational(Fraction(4, 3)) == "4/3"
     assert format_rational(Fraction(6, 3)) == "2"
@@ -190,6 +197,39 @@ def bfs_sources(monkeypatch):
 
     monkeypatch.setattr(graphs, "bfs_distance_counts", counted)
     return calls
+
+
+@pytest.mark.parametrize("d,L,load", [(2, 4, 8), (2, 2, 1)])
+def test_directed_loads_are_pinned(d, L, load):
+    # every directed edge of the torus, from coordinates; on L = 2 the two
+    # axis directions reach the same vertex, so each pair is listed once
+    graph = Torus(d, L)
+    edges = set()
+    for a in range(graph.vertex_count):
+        x = [(a // L**k) % L for k in range(d)]
+        for axis in range(d):
+            for step in (1, -1):
+                y = list(x)
+                y[axis] = (y[axis] + step) % L
+                edges.add((a, sum(c * L**k for k, c in enumerate(y))))
+    assert edge_loads(graph).directed == {edge: Fraction(load) for edge in edges}
+
+
+def test_neighbor_lists_are_built_once_per_graph(monkeypatch):
+    calls = []
+    neighbors = Torus.neighbors
+
+    def counted(graph, v):
+        calls.append(v)
+        return neighbors(graph, v)
+
+    monkeypatch.setattr(Torus, "neighbors", counted)
+    graph = Torus(2, 4)
+    loads = flow._edge_loads(graph, *all_pairs_bfs(graph))
+    assert loads.uniform
+    assert sorted(calls) == list(range(graph.vertex_count))
+    flow.edge_loads(graph)
+    assert len(calls) == graph.vertex_count
 
 
 def test_induced_flow_runs_one_all_pairs_bfs(bfs_sources):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 from itertools import product
@@ -14,7 +15,6 @@ from zrpgap.reversal import (
     DEFAULT_MAX_CHAIN_STATES,
     MERGED,
     DriftParams,
-    TaggedPairChain,
     balance_residuals,
     balanced_states,
     build_tagged_pair_chain,
@@ -104,10 +104,12 @@ def test_double_reversal_is_identity():
         assert all(twice.rates[i] == chain.rates[i] for i in range(chain.size))
 
 
-@pytest.mark.parametrize("n,j", [(3, 0), (3, 1), (4, 1)])
+# at (2, 0) no move is possible: both vertices hold a tag and no high
+@pytest.mark.parametrize("n,j", [(2, 0), (3, 0), (3, 1), (4, 1), (4, 2), (5, 2)])
 def test_reversed_rates_match_attempt_description(n, j):
     suppressed = reverse_chain(build_tagged_pair_chain(n, j), suppress_merged=True)
     closed_form = reversed_attempt_rates(n, j)
+    assert closed_form.states == suppressed.states
     for i in range(suppressed.size):
         assert suppressed.rates[i] == closed_form.rates[i]
 
@@ -116,6 +118,19 @@ def test_reversed_vertex_rate_bounds():
     assert reversed_rate_bounds_hold(3, 1)
     assert reversed_rate_bounds_hold(4, 1)
     assert reversed_rate_bounds_hold(3, 2)
+
+
+@pytest.mark.parametrize("bad", [-5.0, math.nan])
+def test_hitting_times_reject_bad_horizon(bad):
+    with pytest.raises(ValueError, match="horizon"):
+        sample_hitting_times(4, 1, 10, seed=1, horizon=bad, c_const=0.3)
+
+
+def test_hitting_times_at_zero_horizon():
+    # a run stops at once: hit when it starts balanced, censored otherwise
+    runs = sample_hitting_times(4, 1, 50, seed=1, horizon=0.0, c_const=0.3)
+    assert all(run.stop_time == 0.0 and run.hit != run.censored for run in runs)
+    assert any(run.hit for run in runs) and any(run.censored for run in runs)
 
 
 def test_capacity_guard():
@@ -528,15 +543,21 @@ def test_balance_residuals_match_fraction_accumulation(n, j):
 def test_rate_bounds_match_fraction_accumulation(n, j, monkeypatch):
     attempt = reversed_attempt_rates(n, j)
     assert reversed_rate_bounds_hold(n, j) is reference_rate_bounds_hold(attempt) is True
-    # slowed-down rates push the expel totals across the bound
-    for scale in (Fraction(1, 2), Fraction(1, 4)):
-        slowed = TaggedPairChain(
-            n=n, high_count=j, states=attempt.states,
-            rates=tuple({k: q * scale for k, q in row.items()} for row in attempt.rates),
-            pi=attempt.pi, kind=attempt.kind,
+    # a kernel with every denominator scaled up slows both the attempt chain
+    # and the totals the bound check sums, pushing them across the bound
+    kernel = reversal._attempt_kernel
+    for scale in (2, 4):
+        monkeypatch.setattr(
+            reversal, "_attempt_kernel",
+            lambda n, j: (a := kernel(n, j))._replace(den=a.den * scale),
         )
-        monkeypatch.setattr(reversal, "reversed_attempt_rates", lambda n, j: slowed)
+        slowed = reversed_attempt_rates(n, j)
+        assert slowed.states == attempt.states
+        assert_same_rows(slowed.rates, [{k: q / scale for k, q in row.items()}
+                                        for row in attempt.rates])
         assert reversed_rate_bounds_hold(n, j) is reference_rate_bounds_hold(slowed)
+    # at j = 0 every state is balanced, so no bound is ever checked
+    assert reversed_rate_bounds_hold(n, j) is (j == 0)
 
 
 @pytest.mark.parametrize("n,j", [(3, 1), (4, 1), (4, 2), (5, 2)])
@@ -547,6 +568,44 @@ def test_attempts_in_bound_holds_in_every_state(n, j):
             eta = state[0]
             high = _high(state)
             assert all(eta[v] <= high[v] + 1 for v in range(n))
+
+
+PINNED_FLOAT_RATES = [
+    (4, 1, "forward", (
+        "d7f08629fd3082f93d55fdd33eff0335b7d77d8a3d21d55302975706da7ec6be",
+        "c7c56fb3f768b0cd3577da83989a53009e7125c14e42502df501c2023575dcb9",
+        "31ea58a150e432d7f06606b508425b7d3c9b807b950d4f69c6f4e7bf72295552",
+    )),
+    (4, 1, "reversed", (
+        "4c9ab3eeb34b9fc664aca8d84b0c7247c3b1bfc599f5d3c759accc5c0dc44751",
+        "e01f7bfd816e552c508061d47bc7eacc930cd251926319943a2363d2a177df66",
+        "70f00d639dc10f09ba3d422e9496614254bed476c52403b7a7d393eed9aeb2ce",
+    )),
+    (5, 2, "forward", (
+        "8d9c8086aa86eb3ab6eb1d040e154c05467c9a9028a72e371dfd02d5394b6570",
+        "f874c72134d51d1ca1879762bd157313dc3fd0ed924062d62e1dd2580ccf3b7c",
+        "4a5d28db6b8803e0e45fe94265c500e452409820f9931dcf49a7f2222a888d41",
+    )),
+    (5, 2, "reversed", (
+        "40b20e1219f0af0141ce338ce28255ec1424ae3ff95806ed681eefd5a6a3eb66",
+        "6b6811b048bb530137a032f2e4f7160e2e61b46c4387b4107a885919ad2f6cba",
+        "6dd2e6bce04e5e0aad6f6ef90d6327cd1f045eb8760f973b6d2c9509061af4c3",
+    )),
+]
+
+
+@pytest.mark.parametrize(
+    "n,j,direction,digests", PINNED_FLOAT_RATES,
+    ids=[f"{n}-{j}-{d}" for n, j, d, _ in PINNED_FLOAT_RATES],
+)
+def test_float_rate_bytes_are_pinned(n, j, direction, digests):
+    chain = build_tagged_pair_chain(n, j)
+    if direction == "reversed":
+        chain = reverse_chain(chain)
+    rates = reversal._float_rates(chain)
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                for a in (rates.indptr, rates.indices, rates.data))
+    assert got == digests
 
 
 def test_survival_agreement_admits_the_chain_limit():

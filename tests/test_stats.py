@@ -256,6 +256,12 @@ def test_poisson_truncation_values_and_refusals():
             poisson_truncation(mean, 1e-12, 1_000_000)
 
 
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+def test_bad_window_cap_rejected(bad):
+    with pytest.raises(ValueError, match="m_param"):
+        occupancy_stats(4, 4, 10.0, seed=1, m_param=bad)
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_non_finite_parameters_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
