@@ -11,10 +11,13 @@ exit rates are *designed* so that the weights
     pi(merged) = 1,      pi(eta, s, t) = eta(s) * eta(t)
 
 solve the full balance equations exactly (checked in rational arithmetic).
-Rates are built as integer numerators (move counts or closed-form
-products) and become a ``Fraction`` once, at the end, equal values sharing
-one object; the balance and rate-bound checks sum integer numerators over
-a common denominator.
+The states are enumerated once per chain, as arrays (``_tagged_space``),
+and every chain built from move rates goes through one assembler
+(``_assemble``): the forward chain from its move counts and the reversed
+attempt chain below from its closed-form products.  Rates stay integer
+numerators until the assembler turns each into a ``Fraction``, equal values
+sharing one object; the balance and rate-bound checks sum integer
+numerators over a common denominator.
 
 With stationary weights in hand the chain can be time-reversed.  In the
 reversed chain, low particles hop only to empty vertices, which removes the
@@ -60,7 +63,8 @@ DEFAULT_MAX_CHAIN_STATES = 20_000
 
 @dataclass
 class TaggedPairChain:
-    """Finite chain over (eta, s, t) states plus the merged tag-collision state."""
+    """Finite chain over (eta, s, t) states plus the merged tag-collision
+    state, which is always state 0."""
 
     n: int
     high_count: int
@@ -127,56 +131,134 @@ def _check_chain_size(n: int, high_count: int, max_states: int) -> None:
         raise CapacityError(f"{size} chain states exceed the limit {max_states}")
 
 
-def _tagged_space(n: int, high_count: int, max_states: int):
-    """States (merged first), their index, and the integer weights pi.
+class _Space(NamedTuple):
+    """The proper states of one tagged chain, as arrays.
 
-    Proper states are (eta, s, t): tags on distinct vertices, highs
-    anywhere, ordered by s, then t, then the high configuration's rank.
+    Proper state k is chain state k + 1: occupancies ``eta[k]``, high
+    particles ``high[k]`` and tags ``tags[k] = (s, t)``, ordered by s, then
+    t, then the high configuration's rank.  ``moved[v, w, h]`` is the rank
+    of high configuration h after a high particle moves v -> w.
     """
+
+    eta: np.ndarray
+    high: np.ndarray
+    tags: np.ndarray
+    moved: np.ndarray
+
+
+def _tagged_space(n: int, high_count: int, max_states: int) -> _Space:
+    """The one enumeration of a tagged chain's states: tags on distinct
+    vertices, highs anywhere."""
     _check_chain_size(n, high_count, max_states)
-    highs = enumerate_configurations(n, high_count, limit=max_states).tolist()
-    states = [MERGED]
-    for s in range(n):
-        for t in range(n):
-            if s == t:
-                continue
-            for high in highs:
-                eta = list(high)
-                eta[s] += 1
-                eta[t] += 1
-                states.append((tuple(eta), s, t))
-    index = {state: i for i, state in enumerate(states)}
-    pi = tuple(
-        1 if state == MERGED else state[0][state[1]] * state[0][state[2]]
-        for state in states
-    )
-    return states, index, pi
+    highs = enumerate_configurations(n, high_count, limit=max_states)
+    moved = np.zeros((n, n, len(highs)), dtype=np.int64)
+    for v, (src, ranks) in enumerate(move_ranks(highs, [range(n)] * n)):
+        moved[v][:, src] = ranks
+    pairs = np.array([(s, t) for s in range(n) for t in range(n) if s != t])
+    tags = pairs.repeat(len(highs), axis=0)
+    high = np.tile(highs, (len(pairs), 1))
+    eta = high.copy()
+    proper = np.arange(len(eta))
+    eta[proper, tags[:, 0]] += 1
+    eta[proper, tags[:, 1]] += 1
+    return _Space(eta, high, tags, moved)
 
 
-def _highs(state) -> list[int]:
-    """High-particle count per vertex: the occupancy minus the two tags."""
-    eta, s, t = state
-    high = list(eta)
-    high[s] -= 1
-    high[t] -= 1
-    return high
+class _Attempts(NamedTuple):
+    """Integer move rates out of every occupied vertex of every proper state.
 
-
-def _rate_maker():
-    """``Fraction`` that builds each distinct (numerator, denominator) once.
-
-    A rate table repeats a few dozen values over thousands of entries, so
-    its rows share these immutable objects; the cache lives as long as the
-    table being built.
+    Row i of the three ``(rows, n)`` arrays belongs to the pair
+    (``state[i]``, ``v[i]``) of ``space`` with v occupied, listed by state
+    and then v, and its column w holds the moves v -> w: a high particle
+    moves at rate ``high_num/den`` and the tag at v at rate ``tag_num/den``.
+    A zero numerator marks a move that cannot happen.  Both chains state
+    their rates this way, :func:`_forward_kernel` and :func:`_attempt_kernel`
+    over the same :func:`_tagged_space`, and :func:`_assemble` builds either.
     """
-    return functools.lru_cache(maxsize=None)(Fraction)
+
+    space: _Space
+    state: np.ndarray
+    v: np.ndarray
+    high_num: np.ndarray
+    tag_num: np.ndarray
+    den: np.ndarray
 
 
-def _moved(eta, v: int, w: int) -> tuple[int, ...]:
-    moved = list(eta)
-    moved[v] -= 1
-    moved[w] += 1
-    return tuple(moved)
+def _assemble(n: int, high_count: int, rows: _Attempts, kind: str) -> TaggedPairChain:
+    """The chain whose proper states move at the rates of ``rows``.
+
+    Each possible move is one entry, listed by v, then w, then the high
+    move before the tag move.  A high move keeps the tags; a tag move takes
+    its tag to w, and onto the other tag it reaches the merged state 0.
+    Proper state (eta, s, t) is chain state 1 + (s (n-1) + t - [t > s])
+    size + rank(high).  Only the two tag moves onto each other can share a
+    target, so they must carry the same rate: the row keeps the first one's
+    position.  Equal rates share one ``Fraction``.
+    """
+    space = rows.space
+    size = space.moved.shape[2]
+    nums = np.stack([rows.high_num, rows.tag_num], axis=2)
+    row, w, tag = np.nonzero(nums)
+    num, den = nums[row, w, tag], rows.den[row, w]
+    state, v = rows.state[row], rows.v[row]
+    # each array is freed once used: kept, they would set the build's peak memory
+    del rows, nums, row
+    per_state = np.bincount(state, minlength=len(space.eta)).tolist()
+    s, t = space.tags[state].T
+    merged = tag & (w == s + t - v)
+    rank = state % size
+    s = np.where(tag & (v == s), w, s)
+    t = np.where(tag & (v == t), w, t)
+    rank = np.where(tag, rank, space.moved[v, w, rank])
+    target = np.where(merged, 0, 1 + (s * (n - 1) + t - (t > s)) * size + rank)
+    del state, s, t, v, w, tag, merged, rank
+    # one shared Fraction per distinct value, keyed by its lowest terms
+    gcd = np.gcd(num, den)
+    num, den = num // gcd, den // gcd
+    base = int(den.max(initial=0)) + 1
+    keys, which = np.unique(num * base + den, return_inverse=True)
+    del num, den, gcd
+    shared = [Fraction(*divmod(key, base)) for key in keys.tolist()]
+    indices = list(range(len(space.eta) + 1))
+    entries = zip(
+        map(indices.__getitem__, target.tolist()), map(shared.__getitem__, which.tolist())
+    )
+    del target, which
+    rates = [{}] + [dict(itertools.islice(entries, k)) for k in per_state]
+    s, t = space.tags.T
+    proper = np.arange(len(s))
+    etas = zip(*[iter(space.eta.ravel().tolist())] * n)  # one tuple per state
+    return TaggedPairChain(
+        n=n,
+        high_count=high_count,
+        states=(MERGED, *zip(etas, s.tolist(), t.tolist())),
+        rates=tuple(rates),
+        pi=(1, *(space.eta[proper, s] * space.eta[proper, t]).tolist()),
+        kind=kind,
+    )
+
+
+def _forward_kernel(n: int, high_count: int, max_states: int) -> _Attempts:
+    """The forward move rule, stated once for the whole chain.
+
+    Every ordered pair (v, w) fires at rate 1/(n-1) and moves a high
+    particle from v when v holds any, else the tag at v.  A tag landing on
+    the other tag reaches the merged state; when the other tag would move
+    onto it too, both entries carry the summed rate 2/(n-1).
+    """
+    space = _tagged_space(n, high_count, max_states)
+    state, v = np.nonzero(space.eta)
+    pairs = np.arange(len(v))
+    lone = space.high[state, v] == 0  # no high at v: its tag moves
+    moves = np.ones((len(v), n), dtype=np.int64)
+    moves[pairs, v] = 0  # w = v is no move
+    tag_num = moves * lone[:, None]
+    s, t = space.tags[state[lone]].T
+    other = s + t - v[lone]
+    tag_num[pairs[lone], other] += space.high[state[lone], other] == 0
+    return _Attempts(
+        space, state, v, moves * ~lone[:, None], tag_num, np.full(moves.shape, n - 1)
+    )
 
 
 def build_tagged_pair_chain(
@@ -185,53 +267,21 @@ def build_tagged_pair_chain(
     """Forward chain: ranked dynamics restricted to the tagged encoding.
 
     A firing vertex expels a high particle when one is present (highs
-    outrank both tags), otherwise the resident tag moves; the first tag
-    outranks the second.  Moves landing a tag on the other tag's vertex go
-    to the merged state.  The merged state exits toward every proper state
-    at rate 2/(n-1): the unique design under which the product weights
-    pi(eta, s, t) = eta(s) eta(t), pi(merged) = 1 solve the balance
-    equations exactly (every proper state's within-pair deficit is
-    2/(n-1) regardless of its tagged occupancies, because both tag moves
-    between singly occupied tagged vertices land in the merged class).
+    outrank both tags), otherwise the resident tag moves (see
+    :func:`_forward_kernel`).  The merged state exits toward every proper
+    state at rate 2/(n-1): the unique design under which the product
+    weights pi(eta, s, t) = eta(s) eta(t), pi(merged) = 1 solve the balance
+    equations exactly (every proper state's within-pair deficit is 2/(n-1)
+    regardless of its tagged occupancies, because both tag moves between
+    singly occupied tagged vertices land in the merged class).
     """
-    states, index, pi = _tagged_space(n, high_count, max_states)
-    rate = _rate_maker()
-    rates = [dict() for _ in states]
-
-    for i, state in enumerate(states[1:], start=1):
-        eta, s, t = state
-        high = _highs(state)
-        for v in range(n):
-            if eta[v] == 0:
-                continue
-            for w in range(n):
-                if w == v:
-                    continue
-                moved = _moved(eta, v, w)
-                if high[v] > 0:
-                    target = (moved, s, t)
-                elif v == s:
-                    target = MERGED if w == t else (moved, w, t)
-                else:  # v == t holds: eta[v] > 0 with no high means a tag is here
-                    target = MERGED if w == s else (moved, s, w)
-                j = index[target]
-                rates[i][j] = rates[i].get(j, 0) + 1
-        row = rates[i]
-        for j, moves in row.items():
-            row[j] = rate(moves, n - 1)
-
+    chain = _assemble(
+        n, high_count, _forward_kernel(n, high_count, max_states), "forward"
+    )
     # designed exit rates from the merged state (forced by stationarity of
     # the product weights; see the docstring)
-    exit_rate = rate(2, n - 1)
-    rates[0] = {i: exit_rate for i in range(1, len(states))}
-    return TaggedPairChain(
-        n=n,
-        high_count=high_count,
-        states=tuple(states),
-        rates=tuple(rates),
-        pi=pi,
-        kind="forward",
-    )
+    chain.rates[0].update(dict.fromkeys(range(1, chain.size), Fraction(2, n - 1)))
+    return chain
 
 
 def balance_residuals(chain: TaggedPairChain, weights=None) -> list[Fraction]:
@@ -270,17 +320,18 @@ def reverse_chain(chain: TaggedPairChain, suppress_merged: bool = False) -> Tagg
     exit row too); this can only delay the balanced-set hitting time, which
     is the direction needed for upper bounds.
     """
-    rate = _rate_maker()
+    # the table repeats a few dozen values over thousands of entries: each
+    # distinct (numerator, denominator) becomes one shared Fraction
+    rate = functools.lru_cache(maxsize=None)(Fraction)
     rates = [dict() for _ in chain.states]
-    merged_idx = chain.states.index(MERGED)
     for i, row in enumerate(chain.rates):
-        if suppress_merged and i == merged_idx:
+        if suppress_merged and i == 0:
             continue  # forward exits of merged reverse into it
         # a row names each target once, so rates[j][i] is set once
         for j, q in row.items():
             rates[j][i] = rate(chain.pi[i] * q.numerator, chain.pi[j] * q.denominator)
     if suppress_merged:
-        rates[merged_idx] = {}
+        rates[0] = {}
     kind = "reversed_nomerge" if suppress_merged else "reversed"
     return TaggedPairChain(
         n=chain.n,
@@ -292,26 +343,6 @@ def reverse_chain(chain: TaggedPairChain, suppress_merged: bool = False) -> Tagg
     )
 
 
-class _Attempts(NamedTuple):
-    """Integer attempt rates out of every occupied vertex of every proper state.
-
-    Proper state k is chain state k + 1, with occupancies ``eta[k]`` and
-    tags ``tags[k] = (s, t)``.  Row i of the three ``(rows, n)`` arrays
-    belongs to the pair (``state[i]``, ``v[i]``) with v occupied, listed by
-    state and then v, and its column w holds the moves v -> w: a high
-    particle moves at rate ``high_num/den`` and the tag at v at rate
-    ``tag_num/den``.  A zero numerator marks a move that cannot happen.
-    """
-
-    state: np.ndarray
-    v: np.ndarray
-    eta: np.ndarray
-    tags: np.ndarray
-    high_num: np.ndarray
-    tag_num: np.ndarray
-    den: np.ndarray
-
-
 def _attempt_kernel(n: int, high_count: int) -> _Attempts:
     """The attempt formula, stated once for the whole chain.
 
@@ -321,75 +352,28 @@ def _attempt_kernel(n: int, high_count: int) -> _Attempts:
     the tag move (eta(w)+1) when v holds a tag and w is empty, both over
     (high(w)+1) (n-1) eta(v).
     """
-    _check_chain_size(n, high_count, DEFAULT_MAX_CHAIN_STATES)
-    highs = enumerate_configurations(n, high_count)
-    pairs = np.array([(s, t) for s in range(n) for t in range(n) if s != t])
-    tags = pairs.repeat(len(highs), axis=0)
-    high = np.tile(highs, (len(pairs), 1))
-    tagged = np.zeros(high.shape, dtype=np.int64)
-    proper = np.arange(len(high))
-    tagged[proper, tags[:, 0]] = 1
-    tagged[proper, tags[:, 1]] = 1
-    eta = high + tagged
+    space = _tagged_space(n, high_count, DEFAULT_MAX_CHAIN_STATES)
+    eta, high = space.eta, space.high
     state, v = np.nonzero(eta)
     eta_w = eta[state]
     attempt = eta_w + 1
-    high_num = attempt * high[state, v][:, None]
+    high_v = high[state, v]
+    high_num = attempt * high_v[:, None]
     high_num[np.arange(len(v)), v] = 0  # w = v is no move
-    tag_num = attempt * (tagged[state, v][:, None] * (eta_w == 0))
+    tag_num = attempt * ((eta[state, v] - high_v)[:, None] * (eta_w == 0))
     den = (high[state] + 1) * ((n - 1) * eta[state, v])[:, None]
-    return _Attempts(state, v, eta, tags, high_num, tag_num, den)
+    return _Attempts(space, state, v, high_num, tag_num, den)
 
 
 def reversed_attempt_rates(n: int, high_count: int) -> TaggedPairChain:
     """Closed-form reversed rates from the attempt description.
 
-    The rates are :func:`_attempt_kernel`'s, each row listing its moves by
-    v, then w, then the high move before the tag move; each reaches its
-    own target.  Used as an independent construction to cross-check
-    :func:`reverse_chain`.
+    :func:`_attempt_kernel`'s rates, put into the chain by the same
+    :func:`_assemble` as the forward chain's.  A tag only moves onto an
+    empty vertex, so the merged state is never reached.  Used as an
+    independent construction to cross-check :func:`reverse_chain`.
     """
-    states, _, pi = _tagged_space(n, high_count, DEFAULT_MAX_CHAIN_STATES)
-    a = _attempt_kernel(n, high_count)
-    highs = enumerate_configurations(n, high_count)
-    size = len(highs)
-    # moved[v, w, h]: the rank of high configuration h after a high v -> w
-    moved = np.zeros((n, n, size), dtype=np.int64)
-    for v, (src, ranks) in enumerate(move_ranks(highs, [range(n)] * n)):
-        moved[v][:, src] = ranks
-    # the possible moves in row order: by state, v, w, then high before tag
-    nums = np.stack([a.high_num, a.tag_num], axis=2)
-    row, w, tag = np.nonzero(nums)
-    num, den = nums[row, w, tag], a.den[row, w]
-    state, v = a.state[row], a.v[row]
-    s, t = a.tags[state].T
-    del a, nums, row  # the kernel's arrays outweigh the chain's rows
-    # chain index 1 + (tag pair) * size + (high rank)
-    rank = state % size
-    s = np.where(tag & (v == s), w, s)
-    t = np.where(tag & (v == t), w, t)
-    rank = np.where(tag, rank, moved[v, w, rank])
-    target = 1 + (s * (n - 1) + t - (t > s)) * size + rank
-    # one shared Fraction per distinct value, keyed by its lowest terms
-    gcd = np.gcd(num, den)
-    num, den = num // gcd, den // gcd
-    base = int(den.max(initial=0)) + 1
-    keys, which = np.unique(num * base + den, return_inverse=True)
-    shared = [Fraction(*divmod(key, base)) for key in keys.tolist()]
-    indices = list(range(len(states)))
-    entries = zip(
-        map(indices.__getitem__, target.tolist()), map(shared.__getitem__, which.tolist())
-    )
-    per_state = np.bincount(state, minlength=len(states) - 1).tolist()
-    rates = [{}] + [dict(itertools.islice(entries, k)) for k in per_state]
-    return TaggedPairChain(
-        n=n,
-        high_count=high_count,
-        states=tuple(states),
-        rates=tuple(rates),
-        pi=pi,
-        kind="reversed_nomerge",
-    )
+    return _assemble(n, high_count, _attempt_kernel(n, high_count), "reversed_nomerge")
 
 
 def balanced_states(chain: TaggedPairChain) -> list[int]:
@@ -418,9 +402,10 @@ def reversed_rate_bounds_hold(n: int, high_count: int) -> bool:
     the products compared stay below 2**51 (largest at n = 2), inside int64.
     """
     a = _attempt_kernel(n, high_count)
-    eta_v = a.eta[a.state, a.v]
-    s, t = a.tags[a.state].T
-    unbalanced = a.eta[a.state, s] != a.eta[a.state, t]
+    eta = a.space.eta
+    eta_v = eta[a.state, a.v]
+    s, t = a.space.tags[a.state].T
+    unbalanced = eta[a.state, s] != eta[a.state, t]
     common = np.lcm.reduce(a.den, axis=1)
     expel = ((a.high_num + a.tag_num) * (common[:, None] // a.den)).sum(axis=1)
     # expel < 1 - 1/eta(v), cleared of denominators
@@ -552,7 +537,9 @@ def simulate_reversed_hitting(
     events = 0
     stop = min(horizon, t_ref) if t_ref is not None else horizon
     hit = False
-    high = _highs(state)
+    high = list(eta)
+    high[s] -= 1
+    high[t] -= 1
 
     while True:
         weights = [(eta[w] + 1) / (high[w] + 1) for w in range(n)]

@@ -334,6 +334,19 @@ def test_zeta_balance_subcommand(tmp_path, capsys):
     assert len(chain["states"]) == 19
 
 
+def test_zeta_chain_dump_is_pinned(tmp_path):
+    # the README's zeta-balance example; the digest pins every state, weight
+    # and rate of the dumped chain, and the order they are written in
+    code, out = run_cli(
+        ["zeta-balance", "--n", "4", "--j", "1", "--dump-chain"], tmp_path, "zb"
+    )
+    assert code == 0
+    data = (out / "zeta_chain.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "7f1360ec56efb8688adc6ebd49e666b80b3a2aad16cbdf0b8c7d33f899fe03ae"
+    )
+
+
 def test_certificate_with_exact_tau2(tmp_path, capsys):
     code, _ = run_cli(
         ["certificate", "--d", "1", "--L", "4", "--r", "1"], tmp_path, "cert"

@@ -511,7 +511,8 @@ def assert_same_rows(rates, expected):
         assert all(type(q) is Fraction for q in row.values())
 
 
-REFERENCE_CASES = [(3, 0), (3, 1), (4, 1), (4, 2), (5, 2)]
+# on n = 2 every tag move lands on the other tag, in the merged state
+REFERENCE_CASES = [(2, 3), (3, 0), (3, 1), (4, 1), (4, 2), (5, 2), (6, 1)]
 
 
 @pytest.mark.parametrize("n,j", REFERENCE_CASES)
@@ -558,6 +559,22 @@ def test_rate_bounds_match_fraction_accumulation(n, j, monkeypatch):
         assert reversed_rate_bounds_hold(n, j) is reference_rate_bounds_hold(slowed)
     # at j = 0 every state is balanced, so no bound is ever checked
     assert reversed_rate_bounds_hold(n, j) is (j == 0)
+
+
+@pytest.mark.parametrize("build", [
+    build_tagged_pair_chain, reversed_attempt_rates, reversed_rate_bounds_hold,
+])
+def test_chain_states_are_enumerated_once(build, monkeypatch):
+    calls = []
+    enumerate_configurations = reversal.enumerate_configurations
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return enumerate_configurations(*args, **kwargs)
+
+    monkeypatch.setattr(reversal, "enumerate_configurations", spy)
+    build(4, 2)
+    assert calls == [(4, 2)]
 
 
 @pytest.mark.parametrize("n,j", [(3, 1), (4, 1), (4, 2), (5, 2)])
