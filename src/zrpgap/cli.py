@@ -216,18 +216,14 @@ def _cmd_flow(args):
 
 
 def _cmd_certificate(args):
+    if args.r is not None and args.tau2 is not None:
+        raise ConfigError("give at most one of --r and --tau2")
     graph = _resolve_graph(args)
-    tau2 = args.tau2
-    payload_extra = {}
-    if tau2 is None and args.r is not None:
-        complete = Complete(n=graph.vertex_count)
-        gen = build_generator(complete, args.r, max_states=args.max_states)
-        tau2 = exact_gap(gen).relaxation_time
-        payload_extra["tau2_source"] = "exact complete-graph gap"
-        payload_extra["r"] = args.r
-    cert = comparison_certificate(graph, tau2=tau2)
-    payload = cert.as_dict()
-    payload.update(payload_extra)
+    if args.r is None:
+        return comparison_certificate(graph, tau2=args.tau2).as_dict(), {}
+    gen = build_generator(Complete(n=graph.vertex_count), args.r, max_states=args.max_states)
+    payload = comparison_certificate(graph, tau2=exact_gap(gen).relaxation_time).as_dict()
+    payload.update({"tau2_source": "exact complete-graph gap", "r": args.r})
     return payload, {}
 
 

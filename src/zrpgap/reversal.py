@@ -14,10 +14,11 @@ solve the full balance equations exactly (checked in rational arithmetic).
 The states are enumerated once per chain, as arrays (``_tagged_space``),
 and every chain built from move rates goes through one assembler
 (``_assemble``): the forward chain from its move counts and the reversed
-attempt chain below from its closed-form products.  Rates stay integer
-numerators until the assembler turns each into a ``Fraction``, equal values
-sharing one object; the balance and rate-bound checks sum integer
-numerators over a common denominator.
+attempt chain below from its closed-form products.  A chain holds its
+rates in one format, int64 CSR arrays of numerators and denominators in
+lowest terms; ``chain.rates`` is their exact ``Fraction`` view.  Reversal
+scales the arrays by pi, the float rates divide them, and the balance and
+rate-bound checks sum integer numerators over a common denominator.
 
 With stationary weights in hand the chain can be time-reversed.  In the
 reversed chain, low particles hop only to empty vertices, which removes the
@@ -64,14 +65,33 @@ DEFAULT_MAX_CHAIN_STATES = 20_000
 @dataclass
 class TaggedPairChain:
     """Finite chain over (eta, s, t) states plus the merged tag-collision
-    state, which is always state 0."""
+    state, which is always state 0.
+
+    Row i's rates are ``num/den`` to ``indices[indptr[i]:indptr[i+1]]``:
+    int64 CSR arrays in lowest terms, in listing order, not by column.
+    :attr:`rates` is their exact ``Fraction`` view.
+    """
 
     n: int
     high_count: int
     states: tuple
-    rates: tuple  # rates[i] = {j: Fraction rate}
     pi: tuple  # integer stationary weights, merged state has weight 1
-    kind: str = "forward"
+    kind: str
+    indptr: np.ndarray
+    indices: np.ndarray
+    num: np.ndarray
+    den: np.ndarray
+
+    @classmethod
+    def _from_entries(cls, n, high_count, states, pi, kind, rows, cols, num, den):
+        """The chain with rate ``num[k]/den[k]`` from ``rows[k]`` to
+        ``cols[k]``: reduced to lowest terms, grouped by row by a stable
+        sort, so each row keeps its entries' order.  No pair may repeat."""
+        order = np.argsort(rows, kind="stable")
+        indptr = np.searchsorted(rows[order], np.arange(len(states) + 1))
+        gcd = np.gcd(num, den)
+        return cls(n, high_count, states, pi, kind, indptr, cols[order],
+                   (num // gcd)[order], (den // gcd)[order])
 
     @property
     def size(self) -> int:
@@ -90,6 +110,23 @@ class TaggedPairChain:
         ``np.cumsum(np.asarray(pi, dtype=float))``."""
         return list(itertools.accumulate(float(p) for p in self.pi))
 
+    def _rows(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.size), np.diff(self.indptr))
+
+    @functools.cached_property
+    def rates(self) -> tuple:
+        """``rates[i] = {j: Fraction rate}`` in stored order, equal values
+        sharing one ``Fraction``: the one place rate ``Fraction``s are made."""
+        # each (num, den) pair as one 16-byte key
+        pairs = np.stack([self.num, self.den], axis=1).view("V16").ravel()
+        keys, which = np.unique(pairs, return_inverse=True)
+        shared = [Fraction(num, den) for num, den in keys.view(np.int64).reshape(-1, 2).tolist()]
+        index = list(range(self.size))  # one key object per state, shared by all rows
+        entries = zip(map(index.__getitem__, self.indices.tolist()),
+                      map(shared.__getitem__, which.tolist()))
+        return tuple(dict(itertools.islice(entries, k)) for k in np.diff(self.indptr).tolist())
+
     def exit_rate(self, i) -> Fraction:
         return sum(self.rates[i].values(), Fraction(0))
 
@@ -100,22 +137,17 @@ class TaggedPairChain:
             eta, s, t = state
             return {"eta": list(eta), "s": s, "t": t}
 
+        rows = self._rows()
+        order = np.lexsort((self.indices, rows))  # each row by column
+        entries = zip(*(a[order].tolist() for a in (rows, self.indices, self.num, self.den)))
         return {
             "n": self.n,
             "high_count": self.high_count,
             "kind": self.kind,
             "states": [enc(s) for s in self.states],
             "pi": list(self.pi),
-            "rates": [
-                {
-                    "from": i,
-                    "to": j,
-                    "num": q.numerator,
-                    "den": q.denominator,
-                }
-                for i, row in enumerate(self.rates)
-                for j, q in sorted(row.items())
-            ],
+            "rates": [{"from": i, "to": j, "num": num, "den": den}
+                      for i, j, num, den in entries],
         }
 
 
@@ -184,16 +216,19 @@ class _Attempts(NamedTuple):
     den: np.ndarray
 
 
-def _assemble(n: int, high_count: int, rows: _Attempts, kind: str) -> TaggedPairChain:
+def _assemble(
+    n: int, high_count: int, rows: _Attempts, kind: str, merged_rate=None
+) -> TaggedPairChain:
     """The chain whose proper states move at the rates of ``rows``.
 
     Each possible move is one entry, listed by v, then w, then the high
     move before the tag move.  A high move keeps the tags; a tag move takes
     its tag to w, and onto the other tag it reaches the merged state 0.
     Proper state (eta, s, t) is chain state 1 + (s (n-1) + t - [t > s])
-    size + rank(high).  Only the two tag moves onto each other can share a
-    target, so they must carry the same rate: the row keeps the first one's
-    position.  Equal rates share one ``Fraction``.
+    size + rank(high).  The kernels give each target of a state one entry.
+    ``merged_rate``, a ``(num, den)`` pair, is the merged state's exit rate
+    to every proper state; without it the merged state has no exits.
+    Kernel rates are products of a few occupancies and n - 1: far inside int64.
     """
     space = rows.space
     size = space.moved.shape[2]
@@ -203,7 +238,6 @@ def _assemble(n: int, high_count: int, rows: _Attempts, kind: str) -> TaggedPair
     state, v = rows.state[row], rows.v[row]
     # each array is freed once used: kept, they would set the build's peak memory
     del rows, nums, row
-    per_state = np.bincount(state, minlength=len(space.eta)).tolist()
     s, t = space.tags[state].T
     merged = tag & (w == s + t - v)
     rank = state % size
@@ -211,30 +245,21 @@ def _assemble(n: int, high_count: int, rows: _Attempts, kind: str) -> TaggedPair
     t = np.where(tag & (v == t), w, t)
     rank = np.where(tag, rank, space.moved[v, w, rank])
     target = np.where(merged, 0, 1 + (s * (n - 1) + t - (t > s)) * size + rank)
-    del state, s, t, v, w, tag, merged, rank
-    # one shared Fraction per distinct value, keyed by its lowest terms
-    gcd = np.gcd(num, den)
-    num, den = num // gcd, den // gcd
-    base = int(den.max(initial=0)) + 1
-    keys, which = np.unique(num * base + den, return_inverse=True)
-    del num, den, gcd
-    shared = [Fraction(*divmod(key, base)) for key in keys.tolist()]
-    indices = list(range(len(space.eta) + 1))
-    entries = zip(
-        map(indices.__getitem__, target.tolist()), map(shared.__getitem__, which.tolist())
-    )
-    del target, which
-    rates = [{}] + [dict(itertools.islice(entries, k)) for k in per_state]
+    del s, t, v, w, tag, merged, rank
+    source = state + 1
+    if merged_rate is not None:
+        proper = np.arange(1, len(space.eta) + 1)
+        source = np.concatenate([np.zeros_like(proper), source])
+        target = np.concatenate([proper, target])
+        num = np.concatenate([np.full_like(proper, merged_rate[0]), num])
+        den = np.concatenate([np.full_like(proper, merged_rate[1]), den])
     s, t = space.tags.T
     proper = np.arange(len(s))
     etas = zip(*[iter(space.eta.ravel().tolist())] * n)  # one tuple per state
-    return TaggedPairChain(
-        n=n,
-        high_count=high_count,
-        states=(MERGED, *zip(etas, s.tolist(), t.tolist())),
-        rates=tuple(rates),
-        pi=(1, *(space.eta[proper, s] * space.eta[proper, t]).tolist()),
-        kind=kind,
+    states = (MERGED, *zip(etas, s.tolist(), t.tolist()))
+    pi = (1, *(space.eta[proper, s] * space.eta[proper, t]).tolist())
+    return TaggedPairChain._from_entries(
+        n, high_count, states, pi, kind, source, target, num, den
     )
 
 
@@ -243,8 +268,9 @@ def _forward_kernel(n: int, high_count: int, max_states: int) -> _Attempts:
 
     Every ordered pair (v, w) fires at rate 1/(n-1) and moves a high
     particle from v when v holds any, else the tag at v.  A tag landing on
-    the other tag reaches the merged state; when the other tag would move
-    onto it too, both entries carry the summed rate 2/(n-1).
+    the other tag reaches the merged state.  When the other tag would move
+    onto it too, both moves reach that one state: the move from the lower
+    of the two vertices carries their summed rate 2/(n-1), the other none.
     """
     space = _tagged_space(n, high_count, max_states)
     state, v = np.nonzero(space.eta)
@@ -255,7 +281,8 @@ def _forward_kernel(n: int, high_count: int, max_states: int) -> _Attempts:
     tag_num = moves * lone[:, None]
     s, t = space.tags[state[lone]].T
     other = s + t - v[lone]
-    tag_num[pairs[lone], other] += space.high[state[lone], other] == 0
+    both = space.high[state[lone], other] == 0
+    tag_num[pairs[lone], other] = np.where(both, 2 * (v[lone] < other), 1)
     return _Attempts(
         space, state, v, moves * ~lone[:, None], tag_num, np.full(moves.shape, n - 1)
     )
@@ -275,13 +302,9 @@ def build_tagged_pair_chain(
     regardless of its tagged occupancies, because both tag moves between
     singly occupied tagged vertices land in the merged class).
     """
-    chain = _assemble(
-        n, high_count, _forward_kernel(n, high_count, max_states), "forward"
+    return _assemble(
+        n, high_count, _forward_kernel(n, high_count, max_states), "forward", (2, n - 1)
     )
-    # designed exit rates from the merged state (forced by stationarity of
-    # the product weights; see the docstring)
-    chain.rates[0].update(dict.fromkeys(range(1, chain.size), Fraction(2, n - 1)))
-    return chain
 
 
 def balance_residuals(chain: TaggedPairChain, weights=None) -> list[Fraction]:
@@ -289,21 +312,19 @@ def balance_residuals(chain: TaggedPairChain, weights=None) -> list[Fraction]:
 
     With the product weights these are all exactly zero; any perturbed
     weight vector leaves nonzero residuals somewhere.  ``weights`` holds
-    ints or ``Fraction`` values, one per state.
+    ints or ``Fraction`` values, one per state.  The sums run over Python
+    ints: arbitrary weights put their common denominator far above int64.
     """
     pi = chain.pi if weights is None else list(weights)
     # integer weights and rates scaled by the lcm of their denominators
     weight_den = math.lcm(*(w.denominator for w in pi))
-    rate_den = math.lcm(*(q.denominator for row in chain.rates for q in row.values()))
-    net = [0] * chain.size  # inflow minus outflow, times weight_den * rate_den
-    for i, row in enumerate(chain.rates):
-        weight = pi[i].numerator * (weight_den // pi[i].denominator)
-        out = 0
-        for j, q in row.items():
-            flux = weight * q.numerator * (rate_den // q.denominator)
-            net[j] += flux
-            out += flux
-        net[i] -= out
+    rate_den = math.lcm(*np.unique(chain.den).tolist())
+    weight = np.array([w.numerator * (weight_den // w.denominator) for w in pi], dtype=object)
+    rows = chain._rows()
+    flux = weight[rows] * chain.num.astype(object) * (rate_den // chain.den.astype(object))
+    net = np.zeros(chain.size, dtype=object)  # inflow minus outflow, times the scale
+    np.add.at(net, chain.indices, flux)
+    np.subtract.at(net, rows, flux)
     scale = weight_den * rate_den
     return [
         Fraction(net[i], scale)
@@ -319,27 +340,22 @@ def reverse_chain(chain: TaggedPairChain, suppress_merged: bool = False) -> Tagg
     state (and, since the suppressed chain then never visits it, the merged
     exit row too); this can only delay the balanced-set hitting time, which
     is the direction needed for upper bounds.
+
+    The products ``pi(i) num`` and ``pi(j) den`` are taken in int64; a
+    chain where ``max(pi)`` times the largest numerator or denominator
+    reaches 2**63 is refused as a :class:`CapacityError`.
     """
-    # the table repeats a few dozen values over thousands of entries: each
-    # distinct (numerator, denominator) becomes one shared Fraction
-    rate = functools.lru_cache(maxsize=None)(Fraction)
-    rates = [dict() for _ in chain.states]
-    for i, row in enumerate(chain.rates):
-        if suppress_merged and i == 0:
-            continue  # forward exits of merged reverse into it
-        # a row names each target once, so rates[j][i] is set once
-        for j, q in row.items():
-            rates[j][i] = rate(chain.pi[i] * q.numerator, chain.pi[j] * q.denominator)
-    if suppress_merged:
-        rates[0] = {}
+    pi = np.array(chain.pi, dtype=np.int64)
+    largest = max(chain.num.max(initial=0), chain.den.max(initial=0))
+    if int(pi.max()) * int(largest) >= 2**63:
+        raise CapacityError("reversed rates of this chain overflow int64")
+    rows, cols = chain._rows(), chain.indices
+    keep = (rows != 0) & (cols != 0) if suppress_merged else slice(None)
+    rows, cols = rows[keep], cols[keep]
     kind = "reversed_nomerge" if suppress_merged else "reversed"
-    return TaggedPairChain(
-        n=chain.n,
-        high_count=chain.high_count,
-        states=chain.states,
-        rates=tuple(rates),
-        pi=chain.pi,
-        kind=kind,
+    return TaggedPairChain._from_entries(
+        chain.n, chain.high_count, chain.states, chain.pi, kind,
+        cols, rows, pi[rows] * chain.num[keep], pi[cols] * chain.den[keep],
     )
 
 
@@ -378,15 +394,8 @@ def reversed_attempt_rates(n: int, high_count: int) -> TaggedPairChain:
 
 def balanced_states(chain: TaggedPairChain) -> list[int]:
     """Indices of the hitting set: equal tagged occupancies, plus merged."""
-    out = []
-    for i, state in enumerate(chain.states):
-        if state == MERGED:
-            out.append(i)
-        else:
-            eta, s, t = state
-            if eta[s] == eta[t]:
-                out.append(i)
-    return out
+    return [i for i, state in enumerate(chain.states)
+            if state == MERGED or state[0][state[1]] == state[0][state[2]]]
 
 
 def reversed_rate_bounds_hold(n: int, high_count: int) -> bool:
@@ -708,22 +717,16 @@ def drift_check(
 def _float_rates(chain: TaggedPairChain) -> sparse.csr_matrix:
     """The off-diagonal rates as a float CSR matrix, column indices sorted.
 
-    The rows share a few dozen ``Fraction`` objects over all their entries,
-    so each distinct object, told apart by identity while ``values`` holds
-    them all, is converted to a float once.
+    The sort runs on copies: scipy may keep the index arrays it is given,
+    and the chain's own rows must keep their order.
+    Each rate is correctly rounded while its num and den stay below 2**53.
     """
-    counts = np.array([len(row) for row in chain.rates])
-    total = int(counts.sum())
-    columns = np.fromiter(itertools.chain.from_iterable(chain.rates), np.int64, total)
-    values = list(itertools.chain.from_iterable(row.values() for row in chain.rates))
-    as_float = {key: float(q) for key, q in dict(zip(map(id, values), values)).items()}
-    data = np.fromiter(map(as_float.__getitem__, map(id, values)), float, total)
-    # each row's entries by column: rows are already contiguous and in order
-    order = np.argsort(np.repeat(np.arange(chain.size), counts) * chain.size + columns)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return sparse.csr_matrix(
-        (data[order], columns[order], indptr), shape=(chain.size, chain.size)
+    rates = sparse.csr_matrix(
+        (chain.num / chain.den, chain.indices.copy(), chain.indptr.copy()),
+        shape=(chain.size, chain.size),
     )
+    rates.sort_indices()
+    return rates
 
 
 @dataclass(frozen=True)

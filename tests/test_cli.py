@@ -500,6 +500,7 @@ def test_default_outdir_env(tmp_path, monkeypatch, capsys):
         "drift --n 4 --j 1 --replicas 10 --seed 1 --c-param nan",
         "reversal-w --n 4 --j 1 --replicas 10 --seed 1 --horizon -5",
         "certificate --d 1 --L 4 --tau2 -3",
+        "certificate --d 1 --L 3 --r 2 --tau2 1",
         "occupancy --n 4 --r 4 --seed 1 --horizon 10 --m-param -1",
     ],
 )

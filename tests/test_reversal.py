@@ -527,6 +527,39 @@ def test_rates_match_fraction_accumulation(n, j):
     assert_same_rows(attempt.rates, reference_attempt_rates(attempt))
 
 
+def test_reversal_of_the_largest_two_vertex_chain():
+    # (2, 9998) is the largest n = 2 chain the default limit admits; its
+    # weights reach 5000**2, so the reversed products pi num, pi den do too
+    chain = build_tagged_pair_chain(2, 9_998)
+    assert max(chain.pi) == 5000**2
+    with pytest.raises(CapacityError):
+        build_tagged_pair_chain(2, 9_999)
+    once = reverse_chain(chain)
+    assert_same_rows(once.rates, reference_reverse_rates(chain, False))
+    assert reverse_chain(once).rates == chain.rates
+
+
+def test_double_reversal_is_exact_or_refused():
+    # weights reach 65001**2 > 2**32: the second reversal's products leave int64
+    chain = build_tagged_pair_chain(2, 130_000, max_states=10**6)
+    once = reverse_chain(chain)
+    assert once.num.min() > 0 and once.den.min() > 0
+    try:
+        twice = reverse_chain(once)
+    except CapacityError:
+        return
+    for name in ("indptr", "indices", "num", "den"):
+        assert np.array_equal(getattr(twice, name), getattr(chain, name))
+
+
+def test_float_rates_leave_the_chain_rows_in_order():
+    chain = build_tagged_pair_chain(4, 2)
+    survival_agreement(chain, [0.5])  # sorts the float rates by column
+    expected = reference_forward_rates(chain)
+    assert any(list(row) != sorted(row) for row in expected)
+    assert_same_rows(chain.rates, expected)
+
+
 @pytest.mark.parametrize("n,j", REFERENCE_CASES)
 def test_balance_residuals_match_fraction_accumulation(n, j):
     forward = build_tagged_pair_chain(n, j)

@@ -204,6 +204,13 @@ def test_k2_gap_matches_birth_death_closed_form():
         methods = ["dense", "iterative"] if gen.dimension >= 3 else ["dense"]
         for method in methods:
             assert abs(exact_gap(gen, method=method).gap - exact) <= 1e-10
+    # relative accuracy at a small gap; the iterative path returns c - theta,
+    # and the subtraction cancels: ROADMAP item 1 (a Rayleigh-quotient gap)
+    # is to tighten its bound to 1e-10
+    for r, method, tol in [(150, "dense", 1e-10), (500, "iterative", 1e-8)]:
+        exact = 4.0 * math.sin(math.pi / (2 * (r + 1))) ** 2
+        gap = exact_gap(build_generator(Complete(2), r), method=method).gap
+        assert abs(gap - exact) <= tol * exact
 
 
 def test_dense_path_rejects_a_second_zero_mode():
