@@ -49,7 +49,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
+import scipy  # scipy.sparse loads on first use, not at start-up
 
 from .configurations import enumerate_configurations, move_ranks
 from .errors import CapacityError
@@ -168,14 +168,13 @@ class _Space(NamedTuple):
 
     Proper state k is chain state k + 1: occupancies ``eta[k]``, high
     particles ``high[k]`` and tags ``tags[k] = (s, t)``, ordered by s, then
-    t, then the high configuration's rank.  ``moved[v, w, h]`` is the rank
-    of high configuration h after a high particle moves v -> w.
+    t, then the high configuration's rank, so ``high`` repeats the high
+    configurations in rank order once per tag pair.
     """
 
     eta: np.ndarray
     high: np.ndarray
     tags: np.ndarray
-    moved: np.ndarray
 
 
 def _tagged_space(n: int, high_count: int, max_states: int) -> _Space:
@@ -183,9 +182,6 @@ def _tagged_space(n: int, high_count: int, max_states: int) -> _Space:
     vertices, highs anywhere."""
     _check_chain_size(n, high_count, max_states)
     highs = enumerate_configurations(n, high_count, limit=max_states)
-    moved = np.zeros((n, n, len(highs)), dtype=np.int64)
-    for v, (src, ranks) in enumerate(move_ranks(highs, [range(n)] * n)):
-        moved[v][:, src] = ranks
     pairs = np.array([(s, t) for s in range(n) for t in range(n) if s != t])
     tags = pairs.repeat(len(highs), axis=0)
     high = np.tile(highs, (len(pairs), 1))
@@ -193,7 +189,7 @@ def _tagged_space(n: int, high_count: int, max_states: int) -> _Space:
     proper = np.arange(len(eta))
     eta[proper, tags[:, 0]] += 1
     eta[proper, tags[:, 1]] += 1
-    return _Space(eta, high, tags, moved)
+    return _Space(eta, high, tags)
 
 
 class _Attempts(NamedTuple):
@@ -231,7 +227,11 @@ def _assemble(
     Kernel rates are products of a few occupancies and n - 1: far inside int64.
     """
     space = rows.space
-    size = space.moved.shape[2]
+    size = len(space.eta) // (n * (n - 1))
+    # moved[v, w, h]: rank of high configuration h after a high moves v -> w
+    moved = np.zeros((n, n, size), dtype=np.int64)
+    for v, (src, ranks) in enumerate(move_ranks(space.high[:size], [range(n)] * n)):
+        moved[v][:, src] = ranks
     nums = np.stack([rows.high_num, rows.tag_num], axis=2)
     row, w, tag = np.nonzero(nums)
     num, den = nums[row, w, tag], rows.den[row, w]
@@ -243,9 +243,9 @@ def _assemble(
     rank = state % size
     s = np.where(tag & (v == s), w, s)
     t = np.where(tag & (v == t), w, t)
-    rank = np.where(tag, rank, space.moved[v, w, rank])
+    rank = np.where(tag, rank, moved[v, w, rank])
     target = np.where(merged, 0, 1 + (s * (n - 1) + t - (t > s)) * size + rank)
-    del s, t, v, w, tag, merged, rank
+    del s, t, v, w, tag, merged, rank, moved
     source = state + 1
     if merged_rate is not None:
         proper = np.arange(1, len(space.eta) + 1)
@@ -456,12 +456,27 @@ class DriftParams:
             raise ValueError("rungs start at 2")
         return -max(1.0 / (k * (k - 1.0)), self.alpha)
 
+    @functools.cached_property
+    def _ladder_sums(self) -> list:
+        return [0.0, 0.0]
+
     def ladder(self, k: int) -> float:
-        """Sum of rung weights 2..k (zero for k <= 1)."""
-        total = 0.0
-        for i in range(2, k + 1):
-            total += self.rung(i)
-        return total
+        """Sum of rung weights 2..k (zero for k <= 1).
+
+        The partial sums are added in that order once each and kept, so
+        every call returns the float of the plain left-to-right sum.
+        """
+        sums = self._ladder_sums
+        while len(sums) <= k:
+            sums.append(sums[-1] + self.rung(len(sums)))
+        return sums[k] if k > 1 else 0.0
+
+
+@functools.lru_cache(maxsize=16)
+def _drift_params(density: float, c_const: float) -> DriftParams:
+    """One :class:`DriftParams` per (density, c_const), shared by every run
+    with those values, so scale, alpha and ladder sums are set up once."""
+    return DriftParams(density=density, c_const=c_const)
 
 
 @dataclass(frozen=True)
@@ -522,7 +537,7 @@ def simulate_reversed_hitting(
     else:
         state = start
     density = (chain.high_count + 2) / n
-    params = DriftParams(density=density, c_const=c_const)
+    params = _drift_params(density, c_const)
 
     if state == MERGED:
         return ReversedRun(seed, True, 0.0, False, 0.0, 0.0, 0, 0, 0)
@@ -714,14 +729,14 @@ def drift_check(
 # Exact transient agreement between forward and reversed hitting laws
 # ---------------------------------------------------------------------------
 
-def _float_rates(chain: TaggedPairChain) -> sparse.csr_matrix:
+def _float_rates(chain: TaggedPairChain) -> scipy.sparse.csr_matrix:
     """The off-diagonal rates as a float CSR matrix, column indices sorted.
 
     The sort runs on copies: scipy may keep the index arrays it is given,
     and the chain's own rows must keep their order.
     Each rate is correctly rounded while its num and den stay below 2**53.
     """
-    rates = sparse.csr_matrix(
+    rates = scipy.sparse.csr_matrix(
         (chain.num / chain.den, chain.indices.copy(), chain.indptr.copy()),
         shape=(chain.size, chain.size),
     )
@@ -755,7 +770,7 @@ def survival_agreement(chain: TaggedPairChain, times) -> SurvivalAgreement:
     curves = []
     for direction in (chain, reverse_chain(chain)):
         rates = _float_rates(direction)
-        generator = rates - sparse.diags(np.asarray(rates.sum(axis=1)).ravel())
+        generator = rates - scipy.sparse.diags(np.asarray(rates.sum(axis=1)).ravel())
         block = generator[keep][:, keep]
         mass = _uniformize(block, start, times)
         curves.append(mass.sum(axis=1))
@@ -772,7 +787,7 @@ def survival_agreement(chain: TaggedPairChain, times) -> SurvivalAgreement:
 # Occupation-time events under reversal: Monte Carlo inequality check
 # ---------------------------------------------------------------------------
 
-def _jump_rows(rates: sparse.csr_matrix) -> list:
+def _jump_rows(rates: scipy.sparse.csr_matrix) -> list:
     """Per state: total exit rate, targets and cumulative target rates."""
     rows = []
     for i in range(rates.shape[0]):

@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+import scipy  # scipy.sparse loads on first use, not at start-up
 
 from .configurations import (
     DEFAULT_MAX_CONFIGURATIONS,
@@ -69,7 +68,7 @@ class Generator:
     graph: GraphSpec
     particles: int
     occupancies: np.ndarray
-    matrix: sparse.csr_matrix
+    matrix: scipy.sparse.csr_matrix
 
     @property
     def dimension(self) -> int:
@@ -106,7 +105,7 @@ def build_generator(graph: GraphSpec, r: int, max_states: int = DEFAULT_MAX_CONF
     rows_all = np.concatenate([diag, *rows])
     vals = np.full(rows_all.size, 1.0 / graph.degree)
     vals[:dim] = -np.bincount(rows_all[dim:], weights=vals[dim:], minlength=dim)
-    matrix = sparse.csr_matrix(
+    matrix = scipy.sparse.csr_matrix(
         (vals, (rows_all, np.concatenate([diag, *cols]))), shape=(dim, dim)
     )
     return Generator(graph=graph, particles=r, occupancies=occ, matrix=matrix)
@@ -166,19 +165,21 @@ def exact_gap(gen: Generator, method: str = "auto") -> SpectralReport:
     elif method == "iterative":
         if dim < 3:
             raise ValueError("the iterative solver needs at least 3 configurations")
+        import scipy.sparse.linalg
+
         c = 2.0 * float(neg.diagonal().max())
 
         def shifted(x):
             y = c * x - neg @ x
             return y - y.mean()
 
-        op = LinearOperator((dim, dim), matvec=shifted, dtype=float)
+        op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=shifted, dtype=float)
         v0 = np.random.default_rng(0).standard_normal(dim)
         try:
-            values, vectors = eigsh(
+            values, vectors = scipy.sparse.linalg.eigsh(
                 op, k=1, which="LA", v0=v0, maxiter=LANCZOS_MAX_RESTARTS
             )
-        except ArpackNoConvergence as exc:
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise SolverConvergenceError(
                 f"eigensolver did not converge on dimension {dim}: {exc}",
             ) from exc
@@ -224,7 +225,7 @@ def _uniformize(
         out[:] = start_vector
         return out
     kmax = poisson_truncation(lam * float(times.max()), tail_tol, max_terms - 1) + 1
-    kernel_t = (sparse.identity(dim, format="csr") + matrix / lam).T
+    kernel_t = (scipy.sparse.identity(dim, format="csr") + matrix / lam).T
     mu = np.array(start_vector, dtype=float)
     for first in range(0, kmax + 1, UNIFORMIZATION_BLOCK):
         ks = range(first, min(first + UNIFORMIZATION_BLOCK, kmax + 1))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import special
+import scipy  # scipy.special loads on first use, not at start-up
 
 from .configurations import random_configuration, validate_configuration
 from .errors import CapacityError
@@ -330,27 +330,27 @@ def estimate_window_constant(
 
 def poisson_pmf(k, mu):
     """P(X = k) for X ~ Poisson(mu), integer k >= 0, mu >= 0."""
-    return np.clip(np.exp(special.xlogy(k, mu) - special.gammaln(k + 1) - mu), 0, 1)
+    return np.clip(np.exp(scipy.special.xlogy(k, mu) - scipy.special.gammaln(k + 1) - mu), 0, 1)
 
 
 def poisson_cdf(k, mu):
     """P(X <= k) at integer k; 0 below the support, where pdtr gives nan."""
     k = np.asarray(k)
-    return np.where(k < 0, 0.0, np.clip(special.pdtr(np.maximum(k, 0), mu), 0, 1))[()]
+    return np.where(k < 0, 0.0, np.clip(scipy.special.pdtr(np.maximum(k, 0), mu), 0, 1))[()]
 
 
 def poisson_sf(k, mu):
     """P(X > k) at integer k; 1 below the support, where pdtrc gives nan."""
     k = np.asarray(k)
-    return np.where(k < 0, 1.0, np.clip(special.pdtrc(np.maximum(k, 0), mu), 0, 1))[()]
+    return np.where(k < 0, 1.0, np.clip(scipy.special.pdtrc(np.maximum(k, 0), mu), 0, 1))[()]
 
 
 def poisson_isf(q, mu):
     """Smallest integer k with P(X > k) <= q, for 0 < q < 1."""
     p = 1.0 - q
-    vals = np.ceil(special.pdtrik(p, mu))
+    vals = np.ceil(scipy.special.pdtrik(p, mu))
     below = np.maximum(vals - 1, 0)
-    return np.where(special.pdtr(below, mu) >= p, below, vals)[()]
+    return np.where(scipy.special.pdtr(below, mu) >= p, below, vals)[()]
 
 
 def poisson_truncation(mean: float, tail: float, max_terms: int) -> int:
@@ -396,14 +396,14 @@ def skellam_tail_bessel(lam: float, m: int) -> float:
     """Bessel-series oracle for P(X - Y >= m); P(X-Y=k) = e^{-2 lam} I_k(2 lam)."""
     if m == 0:
         # half the off-atom mass plus the atom, by symmetry of the difference
-        return 0.5 * (1.0 + float(special.ive(0, 2.0 * lam)))
+        return 0.5 * (1.0 + float(scipy.special.ive(0, 2.0 * lam)))
     if m < 0:
         # P(D >= m) = 1 - P(D <= m-1) = 1 - P(D >= 1-m)
         return 1.0 - skellam_tail_bessel(lam, 1 - m)
     total = 0.0
     k = m
     while True:
-        term = float(special.ive(k, 2.0 * lam))
+        term = float(scipy.special.ive(k, 2.0 * lam))
         total += term
         if term < 1e-18 and k > 2 * lam + m:
             return total
@@ -516,7 +516,7 @@ def rw_no_return_exact(r: float) -> float:
     total = 0.0
     for x in range(1, 21):
         stay = 1.0 if t == 0.0 else skellam_tail(t, 1 - x) - skellam_tail(t, x + 1)
-        total += 2.0 * float(special.ive(x, 2.0)) * stay
+        total += 2.0 * float(scipy.special.ive(x, 2.0)) * stay
     return total
 
 

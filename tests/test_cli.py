@@ -521,3 +521,50 @@ def test_cli_import_leaves_scipy_stats_out():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# Loaded on first use only.  These tests run in a fresh interpreter:
+# tests/test_stats.py imports scipy.stats, and with it all three, at collection.
+SCIPY_SUBPACKAGES = ("scipy.sparse", "scipy.sparse.linalg", "scipy.special")
+
+
+def fresh_interpreter(code):
+    """Run ``code`` in a new interpreter; its last stdout line is JSON."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_scipy_subpackages_out():
+    loaded = fresh_interpreter(
+        "import json, sys, zrpgap.cli\n"
+        f"print(json.dumps([m for m in {SCIPY_SUBPACKAGES!r} if m in sys.modules]))"
+    )
+    assert loaded == []
+
+
+# the subpackages each CLI run loads; the iterative gap solve is the only
+# user of scipy.sparse.linalg
+SCIPY_LOADS = {
+    "exact-gap --d 1 --L 6 --rho 2": ["scipy.sparse", "scipy.sparse.linalg"],
+    "tv-curve --graph complete --n 3 --r 2": ["scipy.sparse", "scipy.special"],
+    "tails --kind skellam": ["scipy.special"],
+    "flow --d 1 --L 4": [],
+    "zeta-balance --n 4 --j 1": [],
+}
+
+
+@pytest.mark.parametrize("args", list(SCIPY_LOADS))
+def test_scipy_subpackages_load_where_used(args, tmp_path):
+    argv = args.split() + ["--out", str(tmp_path / "out")]
+    code, loaded = fresh_interpreter(
+        "import json, sys\n"
+        "from zrpgap.cli import main\n"
+        f"code = main({argv!r})\n"
+        f"print(json.dumps([code, [m for m in {SCIPY_SUBPACKAGES!r} if m in sys.modules]]))"
+    )
+    assert code == 0
+    assert loaded == SCIPY_LOADS[args]
