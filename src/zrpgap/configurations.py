@@ -93,8 +93,21 @@ def move_ranks(occ: np.ndarray, targets):
         i + sum_{j=w+1}^{v} T[n-1-j, R_j - 1]    if w < v.
 
     Both sums are differences of two prefix tables, ``up`` and ``down``,
-    built once per call, so every move costs two gathers and a subtraction
-    (w = v takes the ``up`` form, whose sum is empty).
+    built once per call (:func:`move_kernel`), so every move costs two
+    gathers and a subtraction (w = v takes the ``up`` form, whose sum is
+    empty).
+    """
+    moves = move_kernel(occ)
+    for v, ws in enumerate(targets):
+        yield moves(v, ws)
+
+
+def move_kernel(occ: np.ndarray):
+    """The rank kernel of :func:`move_ranks`, for callers that need the
+    moves in another order: builds the ``up`` and ``down`` prefix tables of
+    the space ``occ`` once and returns ``moves(v, ws)``, which gives the
+    same ``(src, ranks)`` pair as :func:`move_ranks` gives for v with
+    ``targets[v] = ws``.
     """
     dim, n = occ.shape
     r = int(occ[0].sum())
@@ -107,7 +120,8 @@ def move_ranks(occ: np.ndarray, targets):
         row = table[n - 1 - j]  # row[1:][x] is T[n-1-j, x], row[x] is T[n-1-j, x-1]
         np.add(up[j - 1], row[1:][rem], out=up[j])
         np.add(down[j - 1], row[rem], out=down[j])
-    for v, ws in enumerate(targets):
+
+    def moves(v, ws):
         src = np.flatnonzero(occ[:, v])
         from_up = src + up[v, src]
         from_down = src + down[v, src]
@@ -117,7 +131,9 @@ def move_ranks(occ: np.ndarray, targets):
                 np.subtract(from_up, up[w, src], out=ranks[k])
             else:
                 np.subtract(from_down, down[w, src], out=ranks[k])
-        yield src, ranks
+        return src, ranks
+
+    return moves
 
 
 def rank_configuration(occ) -> int:

@@ -258,6 +258,26 @@ def _advance(state: CoupledState, vs, ws, times, start: int, stop: int) -> int:
     return stop
 
 
+class _Start:
+    """Copy one's start, validated once: a configuration on n >= 3 vertices
+    with r >= 1 particles, and its ranked form, copied for each run."""
+
+    __slots__ = ("n", "r", "copy")
+
+    def __init__(self, eta0):
+        eta0 = validate_configuration(eta0)
+        self.n = len(eta0)
+        self.r = sum(eta0)
+        if self.n < 3:
+            raise ValueError("the coupling needs at least 3 vertices")
+        if self.r < 1:
+            raise ValueError("need at least one particle")
+        self.copy = _Copy.from_configuration(eta0)
+
+    def fresh(self) -> _Copy:
+        return _Copy(self.copy.matched[:], self.copy.active, self.copy.low[:])
+
+
 def init_coupling(
     eta0,
     seed: int,
@@ -269,20 +289,16 @@ def init_coupling(
     """Set up the coupled pair: copy one at ``eta0``, copy two uniform.
 
     The pair draws from ``rng`` when given, else from
-    ``make_generator(seed)``.
+    ``make_generator(seed)``.  The samplers pass, in place of the
+    configuration ``eta0``, a start they validated once for all replicas.
 
     Needs n >= 3: on two vertices the swap phase waits for the occupancy
     difference at the special pair to vanish, but every move changes that
     difference by 2, so an odd imbalance would never resolve.  Two-vertex
     instances are handled by the exact spectral route instead.
     """
-    eta0 = validate_configuration(eta0)
-    n = len(eta0)
-    r = sum(eta0)
-    if n < 3:
-        raise ValueError("the coupling needs at least 3 vertices")
-    if r < 1:
-        raise ValueError("need at least one particle")
+    start = eta0 if isinstance(eta0, _Start) else _Start(eta0)
+    n, r = start.n, start.r
     if rng is None:
         rng = make_generator(seed)
     if eta_prime0 is None:
@@ -294,7 +310,7 @@ def init_coupling(
     return CoupledState(
         n,
         r,
-        _Copy.from_configuration(eta0),
+        start.fresh(),
         _Copy.from_configuration(eta_prime0),
         rng=rng,
         check_invariants=check_invariants,
@@ -420,7 +436,7 @@ def sample_coupling_times(
         raise ValueError("need at least one replica")
     if horizon is None:
         horizon = default_horizon(n, r, replicas)
-    eta0 = point_mass(n, r)
+    eta0 = _Start(point_mass(n, r))
     return [
         run_to_coalescence(eta0, replica_seed, horizon, rng=rng)
         for replica_seed, rng in replica_generators(seed, range(replicas))
@@ -438,7 +454,7 @@ def sample_marginal(
     from :func:`point_mass`."""
     if replicas < 1:
         raise ValueError("need at least one replica")
-    eta0 = point_mass(n, r)
+    eta0 = _Start(point_mass(n, r))
     counts: dict[tuple[int, ...], int] = {}
     horizon = at_time + 1.0
     for replica_seed, rng in replica_generators(seed, range(replicas)):

@@ -23,7 +23,7 @@ from .configurations import (
     DEFAULT_MAX_CONFIGURATIONS,
     configuration_count,
     enumerate_configurations,
-    move_ranks,
+    move_kernel,
     random_configuration,
     rank_configuration,
     validate_configuration,
@@ -91,23 +91,59 @@ def build_generator(graph: GraphSpec, r: int, max_states: int = DEFAULT_MAX_CONF
 
     Each ordered neighbor pair (v, w) moves one particle from v to w on every
     configuration with v occupied, at rate 1/degree; repeated neighbors (the
-    degenerate torus) add up.  The diagonal is minus the row sum.
+    degenerate torus) add up to one entry.  The diagonal is minus the row
+    sum, taken as the sequential sum of the row's degree x (occupied
+    vertices) copies of 1/degree.
+
+    The CSR arrays are written directly, each row's columns in ascending
+    order, with no sort.  Rows are in lexicographic order, and a move v -> w
+    first changes a configuration at min(v, w).  So a move with v < w lands
+    below the diagonal, and among those moves out of one row the column
+    rises with v and falls with w; a move with w < v lands above it, and
+    there the column falls with w and rises with v.  Each row keeps a
+    cursor, and the moves are written in that order: v ascending, w
+    descending over w > v, then the diagonal, then w descending, v
+    ascending over w < v.  The neighbor relation is symmetric, so the last
+    group is the first read backwards: the move w -> v out of row j, for
+    w < v, is the reverse of the move v -> w that reaches j.
     """
     n = graph.vertex_count
     occ = enumerate_configurations(n, r, limit=max_states)
     dim = len(occ)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    for src, ranks in move_ranks(occ, graph.neighbor_table):
-        rows.append(np.tile(src, len(ranks)))
-        cols.append(ranks.ravel())
-    diag = np.arange(dim)
-    rows_all = np.concatenate([diag, *rows])
-    vals = np.full(rows_all.size, 1.0 / graph.degree)
-    vals[:dim] = -np.bincount(rows_all[dim:], weights=vals[dim:], minlength=dim)
-    matrix = scipy.sparse.csr_matrix(
-        (vals, (rows_all, np.concatenate([diag, *cols]))), shape=(dim, dim)
-    )
+    # each neighbor's copies in a neighbor list: two on the degenerate torus
+    copies = 2 if graph.degenerate else 1
+    # sums[k]: k copies of 1/degree added one after another, from +0.0
+    sums = np.zeros(graph.degree * n + 1)
+    np.cumsum(np.full(graph.degree * n, 1.0 / graph.degree), out=sums[1:])
+    occupied = np.count_nonzero(occ, axis=1)
+    per_vertex = graph.degree // copies
+    nnz = dim + per_vertex * int(occupied.sum())
+    index = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(dim + 1, dtype=index)
+    np.cumsum(1 + per_vertex * occupied, out=indptr[1:])
+    indices = np.empty(nnz, dtype=index)
+    data = np.full(nnz, sums[copies])
+    cursor = indptr[:-1].copy()
+    moves = move_kernel(occ)
+    below = [sorted({w for w in ws if w > v}, reverse=True)
+             for v, ws in enumerate(graph.neighbor_table)]
+    for v in range(n):
+        src, ranks = moves(v, below[v])
+        at = cursor[src]
+        for cols in ranks:
+            indices[at] = cols
+            at += 1
+        cursor[src] = at
+    indices[cursor] = np.arange(dim)
+    data[cursor] = 0.0 - sums[graph.degree * occupied]
+    cursor += 1
+    for v in reversed(range(n)):
+        src, ranks = moves(v, below[v][::-1])
+        for rows in ranks:
+            at = cursor[rows]
+            indices[at] = src
+            cursor[rows] = at + 1
+    matrix = scipy.sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
     return Generator(graph=graph, particles=r, occupancies=occ, matrix=matrix)
 
 

@@ -468,36 +468,79 @@ class MCEstimate:
         }
 
 
+# Walkers one sweep of the no-return estimate treats at a time: its per-block
+# temporaries stay below a megabyte however many walkers run
+RW_BLOCK = 2**15
+# Walkers one estimate may run: each holds 17 bytes (int64 position, float64
+# time, one flag), so the largest estimate holds 1.7 GB
+RW_MAX_REPLICAS = 100_000_000
+
+
 def rw_no_return_probability(r: float, replicas: int, seed: int) -> MCEstimate:
     """Monte Carlo estimate of P_0(X_t != 0 for all t in [1, r^2]).
 
     X is the continuous-time simple symmetric walk on the integers jumping
     in each direction at rate 1.  The event fails as soon as some holding
     interval with X = 0 intersects [1, r^2].
+
+    Draw contract: the m walkers still running make one sweep at a time, in
+    walker order.  A sweep first draws all m holding times as
+    ``0.5 * standard_exponential`` (the values of ``exponential(0.5, m)``),
+    then all m steps as ``integers(0, 2)`` in int64, made +-1.  Walkers are
+    treated ``RW_BLOCK`` at a time, which splits the draw calls but never
+    reorders the draws.  More than ``RW_MAX_REPLICAS`` walkers is a
+    ``CapacityError`` before anything is allocated.
     """
     if r < 1:
         raise ValueError("need r >= 1")
     if replicas < 1:
         raise ValueError("need at least one replica")
+    if replicas > RW_MAX_REPLICAS:
+        raise CapacityError(
+            f"{replicas} walkers exceed the limit {RW_MAX_REPLICAS} "
+            f"(17 bytes each)"
+        )
     rng = make_generator(seed)
     r2 = float(r) * float(r)
     pos = np.zeros(replicas, dtype=np.int64)
-    last_t = np.zeros(replicas)
+    t = np.zeros(replicas)  # start of each walker's current holding interval
+    keep = np.empty(replicas, dtype=bool)
+    hold = np.empty(min(replicas, RW_BLOCK))
     survived = 0
-    while pos.size:
-        m = pos.size
-        next_t = last_t + rng.exponential(0.5, m)
-        step = rng.integers(0, 2, m)  # int64 draws, made +-1 in place
-        step *= 2
-        step -= 1
-        # interval [last_t, next_t) held pos; it kills the event when pos == 0
-        # and the interval meets [1, r^2]
-        dead = (pos == 0) & (next_t > 1.0) & (last_t <= r2)
-        done = ~dead & (next_t > r2)
-        survived += int(np.count_nonzero(done))
-        keep = ~dead & ~done
-        pos = pos[keep] + step[keep]
-        last_t = next_t[keep]
+    m = replicas
+    while m:
+        for a in range(0, m, RW_BLOCK):
+            b = min(a + RW_BLOCK, m)
+            h = hold[: b - a]
+            rng.standard_exponential(out=h)
+            h *= 0.5
+            # interval [t, t + h) held pos; it kills the event when pos == 0
+            # and the interval meets [1, r^2]
+            tb = t[a:b]
+            dead = pos[a:b] == 0
+            dead &= tb <= r2
+            tb += h
+            dead &= tb > 1.0
+            done = tb > r2
+            done &= ~dead
+            survived += int(np.count_nonzero(done))
+            np.logical_not(dead | done, out=keep[a:b])
+        # compact the running walkers to the front; the write index never
+        # passes the read index, and each block is gathered before written
+        w = 0
+        for a in range(0, m, RW_BLOCK):
+            b = min(a + RW_BLOCK, m)
+            step = rng.integers(0, 2, b - a)  # int64 draws, made +-1 in place
+            step *= 2
+            step -= 1
+            k = keep[a:b]
+            moved = pos[a:b][k]
+            moved += step[k]
+            c = moved.size
+            pos[w : w + c] = moved
+            t[w : w + c] = t[a:b][k]
+            w += c
+        m = w
     return MCEstimate.binomial(survived, replicas, seed)
 
 

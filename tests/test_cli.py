@@ -153,6 +153,18 @@ def test_skellam_truncation_budget_exit_code(lam, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_walker_limit_exit_code(tmp_path, capsys):
+    code, out = run_cli(
+        ["tails", "--kind", "rw", "--r-values", "1", "--replicas", "100000000000",
+         "--seed", "1"],
+        tmp_path, "walkers",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("limit", ["-5", "0"])
 def test_max_states_must_be_positive(limit, tmp_path, capsys):
     code, out = run_cli(

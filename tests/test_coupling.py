@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from zrpgap import coupling
+from zrpgap.configurations import validate_configuration
 from zrpgap.coupling import (
     CouplingRun,
     _advance,
@@ -32,6 +34,25 @@ def test_init_rejects_small_graphs():
         init_coupling((1, 1), seed=0)
     with pytest.raises(ValueError):
         init_coupling((0, 0, 0), seed=0)
+
+
+@pytest.mark.parametrize("sampler", [
+    lambda n, r: sample_coupling_times(n, r, 50, 3),
+    lambda n, r: sample_marginal(n, r, 1.0, 50, 3),
+], ids=["coupling_times", "marginal"])
+def test_samplers_validate_the_start_once(sampler, monkeypatch):
+    calls = []
+
+    def counted(occ, graph=None):
+        calls.append(occ)
+        return validate_configuration(occ, graph)
+
+    monkeypatch.setattr(coupling, "validate_configuration", counted)
+    sampler(4, 3)
+    assert calls == [point_mass(4, 3)]
+    for n, r in [(2, 3), (4, 0)]:
+        with pytest.raises(ValueError):
+            sampler(n, r)
 
 
 def test_single_particle_skips_phase_one():

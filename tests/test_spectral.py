@@ -149,6 +149,11 @@ PINNED_GENERATORS = [
         "05b85136edb8af281c1b9ebe3856b740f9d0f64ff97c0c32e03343d7d5314923",
         "28a6bf544e2837e3de60dde82a48e4d065a1603bab32b454eeac854357ea7010",
     )),
+    (Torus(2, 4), 5, (
+        "cbbbf7dffdbf675b3cce28785e77d8fbe93fe2e0a10ead7c1a1c35c5a58df5ae",
+        "dfa99bc1f556e0df42b39c2484561a45c4ea8a0fb0b7f0a14680adbd5418d1c4",
+        "2357fafa8f551e07bc0a9d03327e5c348f118b7cd70c4b481a0834c7343b5053",
+    )),
 ]
 
 
@@ -159,6 +164,20 @@ def test_generator_bytes_are_pinned(graph, r, digests):
     q = build_generator(graph, r).matrix
     got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (q.indptr, q.indices, q.data))
     assert got == digests
+
+
+def test_generator_assembly_memory_is_bounded():
+    # the Wilson instance, 50,388 states: assembly through COO arrays and a
+    # sort peaked at 35.2 MB, where the CSR arrays and the configurations
+    # take 9.7 MB
+    build_generator(Complete(3), 2)  # first use of scipy.sparse, untraced
+    tracemalloc.start()
+    try:
+        build_generator(Torus(1, 8), 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_spectrum_real_nonnegative_simple_zero():

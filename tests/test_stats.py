@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -351,6 +352,42 @@ def test_rw_no_return_stream_is_pinned():
     # the draws must not change the walks
     est = rw_no_return_probability(4, 20_000, seed=5)
     assert est.value * 20_000 == 2942
+
+
+# hit counts at seed 11 of the sweep drawn in one call per sweep, for walker
+# counts around the block of 2**15: one short, exact, one over, and three
+# blocks and a bit, so that draws split at block boundaries are covered
+@pytest.mark.parametrize("r,hits", [
+    (1, (22786, 22801, 22722, 67938)),
+    (2.5, (7997, 7978, 7981, 23748)),
+    (8, (2405, 2529, 2456, 7159)),
+])
+def test_rw_no_return_stream_across_blocks_is_pinned(r, hits):
+    block = 2**15
+    replicas = (block - 1, block, block + 1, 3 * block + 7)
+    got = tuple(round(rw_no_return_probability(r, m, seed=11).value * m) for m in replicas)
+    assert got == hits
+
+
+def test_rw_no_return_memory_is_bounded():
+    # position, time and flag are 17 bytes a walker; a million walkers took
+    # 46.6 MB when the sweep built full-size temporaries
+    tracemalloc.start()
+    try:
+        rw_no_return_probability(1, 1_000_000, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+
+
+def test_rw_no_return_walker_limit_is_a_capacity_error(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("walker state allocated")
+
+    monkeypatch.setattr(stats.np, "zeros", no_allocation)
+    with pytest.raises(CapacityError, match="walkers"):
+        rw_no_return_probability(2, stats.RW_MAX_REPLICAS + 1, seed=1)
 
 
 def test_rw_no_return_decreasing_in_r():
