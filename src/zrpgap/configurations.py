@@ -4,7 +4,7 @@ A configuration of r indistinguishable particles on n vertices is a tuple of
 non-negative occupancies summing to r.  There are C(n+r-1, r) of them; the
 canonical order used everywhere in this package is lexicographic on the
 occupancies: :func:`enumerate_configurations` lists them as rows in that
-order, a configuration's rank is its row index, and :func:`move_ranks` gives
+order, a configuration's rank is its row index, and :func:`move_kernel` gives
 the ranks after every single-particle move of a whole space at once.
 """
 
@@ -43,7 +43,8 @@ def enumerate_configurations(n: int, r: int, limit: int = DEFAULT_MAX_CONFIGURAT
     Stars and bars: the (n-1)-subsets of the n+r-1 slots (the bar positions)
     come from ``itertools.combinations`` in lexicographic order, and the gaps
     between consecutive bars are the occupancies, so the rows come out
-    lexicographic too.
+    lexicographic too.  The gaps are taken in place in the output array, so
+    the bars are the only other array of its size alive.
     """
     total = configuration_count(n, r)
     if total > limit:
@@ -56,7 +57,12 @@ def enumerate_configurations(n: int, r: int, limit: int = DEFAULT_MAX_CONFIGURAT
         dtype=np.int64,
         count=total * (n - 1),
     ).reshape(total, n - 1)
-    return np.diff(bars, axis=1, prepend=-1, append=slots) - 1
+    occ = np.empty((total, n), dtype=np.int64)
+    occ[:, :-1] = bars
+    occ[:, -1] = slots
+    occ[:, 1:] -= bars
+    occ[:, 1:] -= 1
+    return occ
 
 
 def _rank_table(n: int, r: int) -> np.ndarray:
@@ -73,15 +79,15 @@ def _rank_table(n: int, r: int) -> np.ndarray:
     return table
 
 
-def move_ranks(occ: np.ndarray, targets):
+def move_kernel(occ: np.ndarray):
     """Single-particle moves of every configuration of one (n, r) space.
 
     ``occ`` is the whole space as rows in rank order
-    (:func:`enumerate_configurations`), and ``targets[v]`` lists the vertices
-    a particle leaving v may move to (repeats allowed; v itself gives the
-    row's own rank).  Yields, for each v in turn, the indices of the rows
-    with v occupied and a ``(len(targets[v]), rows)`` array whose row k holds
-    their ranks after one particle moves from v to ``targets[v][k]``.
+    (:func:`enumerate_configurations`).  Returns ``moves(v, ws)``, which
+    gives the indices ``src`` of the rows with v occupied and a
+    ``(len(ws), len(src))`` array whose row k holds their ranks after one
+    particle moves from v to ``ws[k]`` (repeats allowed; v itself gives the
+    row's own rank).
 
     With ``R_j`` the particles at positions >= j and ``T[m, x] = C(x + m, m)``,
     the rank of a configuration is ``T[n-1, r] - 1 - sum_{j=1}^{n-1}
@@ -93,21 +99,8 @@ def move_ranks(occ: np.ndarray, targets):
         i + sum_{j=w+1}^{v} T[n-1-j, R_j - 1]    if w < v.
 
     Both sums are differences of two prefix tables, ``up`` and ``down``,
-    built once per call (:func:`move_kernel`), so every move costs two
-    gathers and a subtraction (w = v takes the ``up`` form, whose sum is
-    empty).
-    """
-    moves = move_kernel(occ)
-    for v, ws in enumerate(targets):
-        yield moves(v, ws)
-
-
-def move_kernel(occ: np.ndarray):
-    """The rank kernel of :func:`move_ranks`, for callers that need the
-    moves in another order: builds the ``up`` and ``down`` prefix tables of
-    the space ``occ`` once and returns ``moves(v, ws)``, which gives the
-    same ``(src, ranks)`` pair as :func:`move_ranks` gives for v with
-    ``targets[v] = ws``.
+    built once per call, so every move costs two gathers and a subtraction
+    (w = v takes the ``up`` form, whose sum is empty).
     """
     dim, n = occ.shape
     r = int(occ[0].sum())

@@ -8,11 +8,6 @@ class CapacityError(Exception):
 class SolverConvergenceError(Exception):
     """An eigensolver failed to converge or found no simple zero mode.
 
-    Carries whatever diagnostics the solver produced so callers can report
-    them instead of silently retrying.
+    The message carries whatever diagnostics the solver produced, so callers
+    can report them instead of silently retrying.
     """
-
-    def __init__(self, message, residual=None, iterations=None):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .configurations import configuration_count, enumerate_configurations, move_ranks
+from .configurations import configuration_count, enumerate_configurations, move_kernel
 from .errors import CapacityError
 from .graphs import Torus, all_pairs_bfs
 
@@ -286,7 +286,9 @@ def induced_flow_check(graph: Torus, r: int) -> InducedFlowCheck:
     flows: dict[tuple[int, int], int] = {}
     # one row per configuration with u occupied; lifted[w] is the index of
     # zeta + chi_w, the configuration after the particle moves u -> w
-    for u, (_, ranks) in enumerate(move_ranks(occ, [range(n)] * n)):
+    moves = move_kernel(occ)
+    for u in range(n):
+        _, ranks = moves(u, range(n))
         for lifted in ranks.T.tolist():
             for (a, b), share in routed[u]:
                 edge = (lifted[a], lifted[b])

@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy  # scipy.sparse loads on first use, not at start-up
 
-from .configurations import enumerate_configurations, move_ranks
+from .configurations import enumerate_configurations, move_kernel
 from .errors import CapacityError
 from .seeding import derive_seed, make_generator, replica_generators
 from .spectral import _uniformize
@@ -230,7 +230,9 @@ def _assemble(
     size = len(space.eta) // (n * (n - 1))
     # moved[v, w, h]: rank of high configuration h after a high moves v -> w
     moved = np.zeros((n, n, size), dtype=np.int64)
-    for v, (src, ranks) in enumerate(move_ranks(space.high[:size], [range(n)] * n)):
+    moves = move_kernel(space.high[:size])
+    for v in range(n):
+        src, ranks = moves(v, range(n))
         moved[v][:, src] = ranks
     nums = np.stack([rows.high_num, rows.tag_num], axis=2)
     row, w, tag = np.nonzero(nums)
@@ -425,7 +427,6 @@ def reversed_rate_bounds_hold(n: int, high_count: int) -> bool:
 # Drift bookkeeping for the reversed hitting-time simulation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class DriftParams:
     """Ladder potential parameters derived from the density and a constant.
 
@@ -435,30 +436,17 @@ class DriftParams:
     non-increasing ladder potential.
     """
 
-    density: float
-    c_const: float
-
-    def __post_init__(self):
-        if not 0 < self.c_const < math.inf:
+    def __init__(self, density: float, c_const: float):
+        if not 0 < c_const < math.inf:
             raise ValueError("the window constant c must be positive and finite")
-
-    @functools.cached_property
-    def scale(self) -> float:
-        return 64.0 * (self.density + 1.0) / self.c_const
-
-    @functools.cached_property
-    def alpha(self) -> float:
-        s = self.scale
-        return 1.0 / (s * (s + 1.0))
+        self.scale = 64.0 * (density + 1.0) / c_const
+        self.alpha = 1.0 / (self.scale * (self.scale + 1.0))
+        self._ladder_sums = [0.0, 0.0]
 
     def rung(self, k: int) -> float:
         if k < 2:
             raise ValueError("rungs start at 2")
         return -max(1.0 / (k * (k - 1.0)), self.alpha)
-
-    @functools.cached_property
-    def _ladder_sums(self) -> list:
-        return [0.0, 0.0]
 
     def ladder(self, k: int) -> float:
         """Sum of rung weights 2..k (zero for k <= 1).
@@ -524,92 +512,69 @@ def simulate_reversed_hitting(
     never silently dropped.  ``check_identity`` re-derives the potential as
     ladder(max) + jump account after every event and fails hard on any
     mismatch.  The run draws from ``rng`` when given, else from
-    ``make_generator(seed)``.
+    ``make_generator(seed)``: per event an exponential holding time, a
+    uniform for the target w by attempt weight, ``integers(n - 1)`` for the
+    source v != w and, when v is occupied, a uniform for high or tag.
     """
     if chain.kind != "forward":
         raise ValueError("pass the forward chain; the reversal is built internally")
     n = chain.n
-    if rng is None:
-        rng = make_generator(seed)
-    if start is None:
-        idx = _sample_start(chain, rng)
-        state = chain.states[idx]
-    else:
-        state = start
-    density = (chain.high_count + 2) / n
-    params = _drift_params(density, c_const)
-
+    rng = make_generator(seed) if rng is None else rng
+    state = chain.states[_sample_start(chain, rng)] if start is None else start
+    params = _drift_params((chain.high_count + 2) / n, c_const)
     if state == MERGED:
         return ReversedRun(seed, True, 0.0, False, 0.0, 0.0, 0, 0, 0)
+
     eta = list(state[0])
     s, t = state[1], state[2]
-    if eta[s] == eta[t]:
-        y0 = params.ladder(eta[s])
-        return ReversedRun(seed, True, 0.0, False, y0, y0, 0, eta[s], 0)
-
-    max_occ = max(eta[s], eta[t])
-    ladder_val = params.ladder(max_occ)
-    jumps = 0.0
-    potential = ladder_val  # invariant: potential == ladder(max_occ) + jumps
-    boosts = 0
-    alpha = params.alpha
-    drift_rate = 4.0 * alpha / params.scale
-    y_start = potential
-    m_seen = max_occ
-
-    clock = 0.0
-    events = 0
-    stop = min(horizon, t_ref) if t_ref is not None else horizon
-    hit = False
     high = list(eta)
     high[s] -= 1
     high[t] -= 1
+    # the attempt weight of each target; a move changes only v's and w's
+    weights = [(e + 1) / (h + 1) for e, h in zip(eta, high)]
+    total = math.fsum(weights)
+    cumulative = list(itertools.accumulate(weights))
+    max_occ = m_seen = max(eta[s], eta[t])
+    jumps = 0.0
+    potential = y_start = params.ladder(max_occ)  # invariant: ladder(max_occ) + jumps
+    boosts = events = 0
+    clock = 0.0
+    stop = min(horizon, t_ref) if t_ref is not None else horizon
 
-    while True:
-        weights = [(eta[w] + 1) / (high[w] + 1) for w in range(n)]
-        total = math.fsum(weights)
+    while eta[s] != eta[t]:
         dt = rng.standard_exponential() / total
         if clock + dt >= stop:
             clock = stop
             break
         clock += dt
         events += 1
-        u = rng.random() * total
-        acc = 0.0
-        w = n - 1
-        for cand in range(n):
-            acc += weights[cand]
-            if u < acc:
-                w = cand
-                break
+        w = min(bisect.bisect_right(cumulative, rng.random() * total), n - 1)
         v = int(rng.integers(n - 1))
         if v >= w:
             v += 1
-        fuller = s if eta[s] > eta[t] else t
         if eta[v] == 0:
-            if w == fuller:
+            # a failed attempt into the fuller tagged vertex
+            if w == (s if eta[s] > eta[t] else t):
                 boosts += 1
             continue
-        moved = False
         if rng.random() < high[v] / eta[v]:
             # a high particle moves unconditionally
             high[v] -= 1
             high[w] += 1
-            eta[v] -= 1
-            eta[w] += 1
-            moved = True
-        else:
+        elif eta[w] == 0:
             # the tag at v moves only onto an empty vertex
-            if eta[w] == 0:
-                eta[v] -= 1
-                eta[w] += 1
-                if v == s:
-                    s = w
-                else:
-                    t = w
-                moved = True
-        if not moved:
+            if v == s:
+                s = w
+            else:
+                t = w
+        else:
             continue
+        eta[v] -= 1
+        eta[w] += 1
+        weights[v] = (eta[v] + 1) / (high[v] + 1)
+        weights[w] = (eta[w] + 1) / (high[w] + 1)
+        total = math.fsum(weights)
+        cumulative = list(itertools.accumulate(weights))
         new_max = max(eta[s], eta[t])
         if new_max > max_occ:
             if new_max != max_occ + 1:
@@ -624,26 +589,12 @@ def simulate_reversed_hitting(
         max_occ = new_max
         m_seen = max(m_seen, new_max)
         if check_identity and abs(potential - (params.ladder(max_occ) + jumps)) > 1e-9:
-            raise RuntimeError(
-                "drift bookkeeping broken: potential != ladder(max) + jumps"
-            )
-        if eta[s] == eta[t]:
-            hit = True
-            break
+            raise RuntimeError("drift bookkeeping broken: potential != ladder(max) + jumps")
 
-    y_final = potential - alpha * boosts + drift_rate * clock
-    censored = (not hit) and (t_ref is None or clock < t_ref)
-    return ReversedRun(
-        seed=seed,
-        hit=hit,
-        stop_time=clock,
-        censored=censored,
-        y_start=y_start,
-        y_final=y_final,
-        failed_boosts=boosts,
-        max_occ_seen=m_seen,
-        events=events,
-    )
+    hit = eta[s] == eta[t]
+    censored = not hit and (t_ref is None or clock < t_ref)
+    y_final = potential - params.alpha * boosts + 4.0 * params.alpha / params.scale * clock
+    return ReversedRun(seed, hit, clock, censored, y_start, y_final, boosts, m_seen, events)
 
 
 def sample_hitting_times(

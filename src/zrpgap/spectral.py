@@ -173,7 +173,9 @@ def exact_gap(gen: Generator, method: str = "auto") -> SpectralReport:
     Above it, Lanczos with no factorization: ARPACK finds the largest
     eigenvalue theta of ``P (c I + Q) P``, where P projects out the constant
     vector (the zero mode) and ``c`` is twice the largest exit rate, so that
-    ``c`` bounds the spectrum of -Q by Gershgorin.  The gap is ``c - theta``.
+    ``c`` bounds the spectrum of -Q by Gershgorin.  The gap is the Rayleigh
+    quotient of -Q at theta's eigenvector, not ``c - theta``, whose
+    subtraction cancels when the gap is small against ``c``.
     The start vector is fixed, so repeated solves return the same floats;
     more than ``LANCZOS_MAX_RESTARTS`` restarts raise
     ``SolverConvergenceError``.  The 2-norm residual of the computed
@@ -212,22 +214,22 @@ def exact_gap(gen: Generator, method: str = "auto") -> SpectralReport:
         op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=shifted, dtype=float)
         v0 = np.random.default_rng(0).standard_normal(dim)
         try:
-            values, vectors = scipy.sparse.linalg.eigsh(
+            _, vectors = scipy.sparse.linalg.eigsh(
                 op, k=1, which="LA", v0=v0, maxiter=LANCZOS_MAX_RESTARTS
             )
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise SolverConvergenceError(
                 f"eigensolver did not converge on dimension {dim}: {exc}",
             ) from exc
-        gap = c - float(values[0])
         vec = vectors[:, 0]
+        dirichlet, variance = _rayleigh_parts(gen, vec)
+        gap = dirichlet / variance
     else:
         raise ValueError(f"unknown method {method!r}")
     residual = float(np.linalg.norm(neg @ vec - gap * vec))
     if gap <= 0:
         raise SolverConvergenceError(
-            f"computed gap {gap} is not positive (dimension {dim})",
-            residual=residual,
+            f"computed gap {gap} is not positive (dimension {dim}, residual {residual:.3g})"
         )
     return SpectralReport(
         gap=gap,

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy import stats as sps
 from zrpgap.configurations import (
     configuration_count,
     enumerate_configurations,
-    move_ranks,
+    move_kernel,
     random_configuration,
     rank_configuration,
     transitions,
@@ -51,10 +52,24 @@ def test_enumeration_rank_unrank_consistency(n, r):
         assert unrank_configuration(i, n, r) == occ
 
 
+def test_enumeration_peak_memory_is_near_its_result():
+    # the bar positions and the output are the only full-size arrays; with
+    # np.diff's padded copy the peak was three times the result
+    tracemalloc.start()
+    try:
+        configs = enumerate_configurations(8, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * configs.nbytes
+
+
 def assert_moves_match_scalar_ranks(configs, targets):
     """Oracle: move each row's particle with plain lists and rank the result."""
-    for v, (src, ranks) in enumerate(move_ranks(configs, targets)):
-        for k, w in enumerate(targets[v]):
+    moves = move_kernel(configs)
+    for v, ws in enumerate(targets):
+        src, ranks = moves(v, ws)
+        for k, w in enumerate(ws):
             expected = []
             for occ in configs[src].tolist():
                 occ[v] -= 1
@@ -69,7 +84,9 @@ def test_lex_ranks_are_row_indices():
     for n in range(1, 7):
         for r in range(7):
             configs = enumerate_configurations(n, r)
-            for v, (src, ranks) in enumerate(move_ranks(configs, [[v, v] for v in range(n)])):
+            moves = move_kernel(configs)
+            for v in range(n):
+                src, ranks = moves(v, [v, v])
                 assert src.tolist() == np.flatnonzero(configs[:, v]).tolist()
                 assert ranks.tolist() == [src.tolist()] * 2
                 assert [rank_configuration(c) for c in configs[src].tolist()] == src.tolist()

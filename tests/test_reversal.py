@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -36,7 +37,7 @@ from zrpgap.spectral import (
     build_generator,
     transient_distribution,
 )
-from zrpgap.stats import fit_exponential_tail
+from zrpgap.stats import WINDOW_CONSTANT, fit_exponential_tail
 
 
 def brute_force_states(n, high_count):
@@ -663,3 +664,48 @@ def test_survival_agreement_admits_the_chain_limit():
     assert 4000 < chain.size == 4201 <= DEFAULT_MAX_CHAIN_STATES
     agreement = survival_agreement(chain, [0.5])
     assert agreement.sup_difference <= 1e-10
+
+
+def _runs_digest(results):
+    return hashlib.sha256(
+        repr([dataclasses.astuple(x) for x in results]).encode()
+    ).hexdigest()
+
+
+def _identity_runs():
+    chain = build_tagged_pair_chain(4, 2)
+    return [simulate_reversed_hitting(chain, seed, 1e4, 0.3, check_identity=True)
+            for seed in range(200)]
+
+
+PINNED_REVERSED_RUNS = {
+    # the README's reversal-w and drift runs, a short horizon that censors
+    # about a third of the runs, and runs that check the bookkeeping identity
+    # after every event
+    "reversal-w-4-1": (
+        lambda: sample_hitting_times(4, 1, 2000, 7, 1e6, WINDOW_CONSTANT),
+        "99e1632af36a778e734661111dad2d27a0339694c1d1edd358db3b8673180fb7",
+    ),
+    "drift-4-1": (
+        lambda: [drift_check(4, 1, 10_000, 7, WINDOW_CONSTANT)],
+        "84428805c01e5fb64bef822552b25562d2d801cdef9506422564ed242eeef081",
+    ),
+    "drift-6-2": (
+        lambda: [drift_check(6, 2, 1000, 9, WINDOW_CONSTANT)],
+        "131ce8c0c06121018b5f1dc33f530e7d7360be0cd09033439744797b86beb2b8",
+    ),
+    "censored-5-1": (
+        lambda: sample_hitting_times(5, 1, 500, 3, 1.0, WINDOW_CONSTANT),
+        "928f5c4c1eae05e34505521d3f33cdf2c1a0623f76b336d9ef6345b794599fa3",
+    ),
+    "identity-4-2": (
+        _identity_runs,
+        "36c8614319d48abaef70c34dc68376f1410655a4f64f7d466646899c7cb6734c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_REVERSED_RUNS)
+def test_reversed_runs_are_pinned(name):
+    run, digest = PINNED_REVERSED_RUNS[name]
+    assert _runs_digest(run()) == digest
