@@ -3,23 +3,27 @@
 Every run echoes its fully resolved configuration (defaults included) into a
 manifest together with sha256 digests of the written outputs, so a rerun
 with the same configuration and seed is byte-identical and verifiably so.
-Exit codes: 0 success, 1 configuration error, 2 capacity error, 3 partial
+Exit codes: 0 success, 1 configuration error (an overflowing value
+included), 2 capacity error (a failed allocation included), 3 partial
 sweep, 4 eigensolver failure.  The only environment variable consulted is
 ZRPGAP_OUT (default output directory).
 
 Handlers only compute: each takes the parsed arguments and returns
 ``(payload, extra_files)``, a JSON-serializable payload and a mapping of
-further file names to their text.  :func:`main` does the rest, once: it
-writes the payload to ``<subcommand>.json`` (dashes become underscores) and
-prints the same text, writes the extra files and the manifest, and maps
-each exception to its exit code.  A payload with a non-zero ``failures``
-count is a partial run (exit 3).
+further file names to their text (every CSV table is built by :func:`_csv`).
+:func:`main` does the rest, once: it writes the payload to
+``<subcommand>.json`` (dashes become underscores) and prints the same text,
+writes the extra files and the manifest, and maps each exception to its
+exit code.  A payload with a non-zero ``failures`` count is a partial run
+(exit 3).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -35,11 +39,7 @@ from .coupling import (
     sample_coupling_times,
 )
 from .errors import CapacityError, SolverConvergenceError
-from .flow import (
-    CERTIFICATE_CSV_HEADER,
-    comparison_certificate,
-    edge_loads,
-)
+from .flow import comparison_certificate, edge_loads
 from .graphs import Complete, Torus
 from .reversal import (
     balance_residuals,
@@ -133,6 +133,20 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _csv(header: str, rows) -> str:
+    """CSV text: the comma-separated ``header``, then one line per row.
+
+    Cells are written by ``csv.writer``: floats as their repr, ``None`` as
+    an empty cell, a ``Fraction`` as ``p/q`` (``p`` when integer-valued),
+    and a cell holding a comma or a quote is quoted.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header.split(","))
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _echo_config(args) -> dict:
     skip = {"func", "out", "config"}
     return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
@@ -177,7 +191,7 @@ def _cmd_tv_curve(args):
         lo, hi = args.fit_window
         payload["fitted_rate"] = fit_decay_rate(curve, lo, hi)
         payload["fit_window"] = [lo, hi]
-    return payload, {"tv_curve.csv": curve.to_csv()}
+    return payload, {"tv_curve.csv": _csv("time,tv", zip(curve.times, curve.values))}
 
 
 def _cmd_wilson(args):
@@ -207,12 +221,14 @@ def _cmd_flow(args):
     graph = _resolve_graph(args)
     loads = edge_loads(graph)
     cert = comparison_certificate(graph, loads=loads)
-    csv = CERTIFICATE_CSV_HEADER + "\n" + cert.csv_row() + "\n"
+    table = _csv("d,L,congestion,length,bound_factor,headline_factor",
+                 [(cert.d, cert.L, cert.congestion, cert.length, cert.bound_factor,
+                   cert.headline_factor)])
     payload = {
         "certificate": cert.as_dict(),
         "edge_loads": loads.as_dict(),
     }
-    return payload, {"flow.csv": csv}
+    return payload, {"flow.csv": table}
 
 
 def _cmd_certificate(args):
@@ -232,26 +248,18 @@ def _cmd_couple(args):
     if horizon is None:
         horizon = default_horizon(args.n, args.r, args.replicas)
     runs = sample_coupling_times(args.n, args.r, args.replicas, args.seed, horizon)
-    lines = ["replica,seed,T,censored," + ",".join(
-        f"stage_{j}" for j in range(args.r)
-    )]
-    for i, run in enumerate(runs):
-        stage_cols = list(run.stage_durations) + [math.nan] * (
-            args.r - len(run.stage_durations)
-        )
-        lines.append(
-            f"{i},{run.seed},"
-            + (f"{run.coupling_time!r}" if not run.censored else "")
-            + f",{int(run.censored)},"
-            + ",".join(repr(x) for x in stage_cols)
-        )
-    csv = "\n".join(lines) + "\n"
+    header = "replica,seed,T,censored," + ",".join(f"stage_{j}" for j in range(args.r))
+    table = _csv(header, (
+        (i, run.seed, run.coupling_time, int(run.censored), *run.stage_durations,
+         *[math.nan] * (args.r - len(run.stage_durations)))
+        for i, run in enumerate(runs)
+    ))
     estimate = estimate_relaxation(runs, min_uncensored=min(args.replicas, 1000),
                                    bootstrap=args.bootstrap, seed=args.seed)
     payload = estimate.as_dict()
     payload.update({"n": args.n, "r": args.r, "replicas": args.replicas,
                     "horizon": horizon})
-    return payload, {"couple.csv": csv}
+    return payload, {"couple.csv": table}
 
 
 def _cmd_zeta_balance(args):
@@ -276,14 +284,12 @@ def _cmd_reversal_w(args):
     horizon = 1e6 if args.horizon is None else args.horizon
     runs = sample_hitting_times(args.n, args.j, args.replicas, args.seed,
                                 horizon, c_const)
-    lines = ["replica,W,censored,mean_drift,B_final,M_max"]
-    for i, run in enumerate(runs):
-        rate = run.drift_increment / run.stop_time if run.stop_time > 0 else 0.0
-        lines.append(
-            f"{i},{run.stop_time!r},{int(run.censored)},{rate!r},"
-            f"{run.failed_boosts},{run.max_occ_seen}"
-        )
-    csv = "\n".join(lines) + "\n"
+    table = _csv("replica,W,censored,mean_drift,B_final,M_max", (
+        (i, run.stop_time, int(run.censored),
+         run.drift_increment / run.stop_time if run.stop_time > 0 else 0.0,
+         run.failed_boosts, run.max_occ_seen)
+        for i, run in enumerate(runs)
+    ))
     times = [run.stop_time for run in runs if run.hit and run.stop_time > 0]
     payload = {
         "n": args.n,
@@ -297,7 +303,7 @@ def _cmd_reversal_w(args):
     if len(times) >= 1000:
         fit = fit_exponential_tail(times, bootstrap=args.bootstrap, seed=args.seed)
         payload["tail_fit"] = fit.as_dict()
-    return payload, {"reversal_w.csv": csv}
+    return payload, {"reversal_w.csv": table}
 
 
 def _cmd_drift(args):
@@ -317,32 +323,29 @@ def _cmd_occupancy(args):
         "den": exact.denominator,
         "decimal": float(exact),
     }
-    csv_lines = ["vertex,empty_time"]
-    csv_lines += [f"{v},{z!r}" for v, z in enumerate(trace.empty_time)]
-    return payload, {"occupancy.csv": "\n".join(csv_lines) + "\n"}
+    return payload, {"occupancy.csv": _csv("vertex,empty_time", enumerate(trace.empty_time))}
 
 
 def _cmd_tails(args):
     if args.kind == "skellam":
         table = skellam_table(args.lam, args.m)
         payload = table.as_dict()
-        csv_lines = ["m,probability"]
-        csv_lines += [f"{m},{p!r}" for m, p in table.tails]
+        header, rows = "m,probability", table.tails
     elif args.kind == "poisson":
         payload = {
             "lambda": args.lam,
             "concentration_half": poisson_concentration(args.lam),
         }
-        csv_lines = ["lambda,concentration_half",
-                     f"{args.lam!r},{payload['concentration_half']!r}"]
+        header = "lambda,concentration_half"
+        rows = [(args.lam, payload["concentration_half"])]
     else:
         if args.seed is None:
             raise ConfigError("tails --kind rw needs --seed")
-        rows = []
-        csv_lines = ["r,estimate,stderr,ci_low,ci_high,scaled_by_r"]
+        estimates = []
+        header, rows = "r,estimate,stderr,ci_low,ci_high,scaled_by_r", []
         for rr in args.r_values:
             est = rw_no_return_probability(rr, args.replicas, args.seed)
-            rows.append(
+            estimates.append(
                 {
                     "r": rr,
                     "estimate": est.as_dict(),
@@ -350,19 +353,15 @@ def _cmd_tails(args):
                     "scaled_ci_low": est.ci_low * rr,
                 }
             )
-            csv_lines.append(
-                f"{rr},{est.value!r},{est.stderr!r},{est.ci_low!r},"
-                f"{est.ci_high!r},{est.value * rr!r}"
-            )
-        payload = {"replicas": args.replicas, "rows": rows}
-    return payload, {"tails.csv": "\n".join(csv_lines) + "\n"}
+            rows.append((rr, est.value, est.stderr, est.ci_low, est.ci_high, est.value * rr))
+        payload = {"replicas": args.replicas, "rows": estimates}
+    return payload, {"tails.csv": _csv(header, rows)}
 
 
 def _cmd_sweep(args):
     ds = args.d_values
     Ls = args.L_values
     rhos = [_parse_rho(x) for x in args.rho_values]
-    header = "d,L,r,rho_requested,rho_actual,gap,relaxation_time,normalized,error"
     rows = []
     failures = 0
     for d in ds:
@@ -371,30 +370,28 @@ def _cmd_sweep(args):
                 graph = Torus(d=d, L=L)
                 r = _particles_at(rho, graph.vertex_count)
                 actual = r / graph.vertex_count
-                prefix = f"{d},{L},{r},{rho!r},{actual!r}"
+                prefix = (d, L, r, rho, actual)
                 try:
                     if args.task == "exact-gap":
                         gen = build_generator(graph, r, max_states=args.max_states)
                         report = exact_gap(gen)
                         norm = report.relaxation_time / ((actual + 1.0) ** 2 * L * L)
-                        rows.append(
-                            f"{prefix},{report.gap!r},{report.relaxation_time!r},{norm!r},"
-                        )
+                        rows.append((*prefix, report.gap, report.relaxation_time, norm, None))
                     else:
                         bound = wilson_bound(graph, r, variant=args.variant,
                                              max_states=args.max_states)
                         norm = bound.quotient * (actual + 1.0) ** 2 * L * L
-                        rows.append(f"{prefix},{bound.quotient!r},,{norm!r},")
+                        rows.append((*prefix, bound.quotient, None, norm, None))
                 except (CapacityError, SolverConvergenceError, ValueError) as exc:
                     failures += 1
-                    rows.append(f"{prefix},,,,{type(exc).__name__}: {exc}")
-    csv = header + "\n" + "\n".join(rows) + "\n" if rows else header + "\n"
+                    rows.append((*prefix, None, None, None, f"{type(exc).__name__}: {exc}"))
     payload = {
         "task": args.task,
         "points": len(rows),
         "failures": failures,
     }
-    return payload, {"sweep.csv": csv}
+    table = _csv("d,L,r,rho_requested,rho_actual,gap,relaxation_time,normalized,error", rows)
+    return payload, {"sweep.csv": table}
 
 
 # ---------------------------------------------------------------------------
@@ -610,11 +607,12 @@ def main(argv=None) -> int:
         started = time.perf_counter()
         payload, files = args.func(args)
         elapsed = time.perf_counter() - started
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OverflowError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:
+        # a MemoryError raised by Python itself carries no message
+        print(f"capacity error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except SolverConvergenceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)

@@ -64,12 +64,6 @@ def _frac_json(value: Fraction) -> dict:
     }
 
 
-def format_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def edge_loads(graph: Torus) -> EdgeLoadReport:
     """Exact per-edge load of the uniform shortest-path flow.
 
@@ -157,21 +151,6 @@ class ComparisonCertificate:
             out["tau2"] = self.tau2
             out["tau1_bound"] = self.tau1_bound
         return out
-
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                str(self.d),
-                str(self.L),
-                format_rational(self.congestion),
-                str(self.length),
-                format_rational(self.bound_factor),
-                str(self.headline_factor),
-            ]
-        )
-
-
-CERTIFICATE_CSV_HEADER = "d,L,congestion,length,bound_factor,headline_factor"
 
 
 def comparison_certificate(

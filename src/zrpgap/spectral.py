@@ -301,11 +301,6 @@ class TVCurve:
             "points": [{"time": t, "tv": v} for t, v in zip(self.times, self.values)],
         }
 
-    def to_csv(self) -> str:
-        lines = ["time,tv"]
-        lines.extend(f"{t!r},{v!r}" for t, v in zip(self.times, self.values))
-        return "\n".join(lines) + "\n"
-
 
 def tv_curve(gen: Generator, start, times) -> TVCurve:
     """Total variation distance to uniform at each time, from a point start."""

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import hashlib
 import inspect
 import json
@@ -44,6 +45,23 @@ def test_flow_csv_row(tmp_path):
     lines = (out / "flow.csv").read_text().splitlines()
     assert lines[0] == "d,L,congestion,length,bound_factor,headline_factor"
     assert lines[1] == "1,4,4/3,2,16/3,32"
+
+
+def test_flow_csv_integer_fraction(tmp_path):
+    # the bound factor 6 is an integer-valued Fraction: written without "/1"
+    code, out = run_cli(["flow", "--d", "1", "--L", "5"], tmp_path, "flow")
+    assert code == 0
+    lines = (out / "flow.csv").read_text().splitlines()
+    assert lines == ["d,L,congestion,length,bound_factor,headline_factor",
+                     "1,5,3/2,2,6,50"]
+
+
+def test_degenerate_torus_flagged(tmp_path, capsys):
+    code, _ = run_cli(["exact-gap", "--d", "1", "--L", "2", "--r", "2"], tmp_path, "deg")
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["degenerate_torus"] is True
+    assert payload["gap"] == pytest.approx(1.0)
 
 
 def test_manifest_digests_match_outputs(tmp_path):
@@ -153,6 +171,35 @@ def test_skellam_truncation_budget_exit_code(lam, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_allocation_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # 8e17 bytes of samples: more than any 64-bit address space maps
+    args = ["wilson", "--d", "1", "--L", "4", "--r", "2", "--mode", "monte_carlo",
+            "--seed", "1", "--samples", str(10**17)]
+    code, out = run_cli(args, tmp_path, "alloc")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: Unable to allocate") and "Traceback" not in err
+    assert not out.exists()
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "wilson_bound", no_memory)
+    assert run_cli(args, tmp_path, "alloc")[0] == 2
+    assert capsys.readouterr().err == "capacity error: MemoryError\n"
+
+
+def test_overflow_exit_code(tmp_path, capsys):
+    code, out = run_cli(
+        ["tails", "--kind", "skellam", "--lam", "1", "--m", str(10**20)],
+        tmp_path, "overflow",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_walker_limit_exit_code(tmp_path, capsys):
     code, out = run_cli(
         ["tails", "--kind", "rw", "--r-values", "1", "--replicas", "100000000000",
@@ -235,25 +282,103 @@ def test_no_flag_takes_a_bare_float():
     assert bare == []
 
 
-def test_readme_commands_parse():
-    """Every ``zrpgap`` line of the README's shell blocks parses (nothing
-    runs), so an example that drifts from the flags fails here."""
+def readme_commands():
+    """The arguments of every ``zrpgap`` line of the README's shell blocks."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    lines = [
-        line
+    return [
+        shlex.split(line, comments=True)[1:]
         for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
         for line in block.splitlines()
         if line.startswith("zrpgap ")
     ]
-    assert lines
+
+
+def test_readme_commands_parse():
+    """Every ``zrpgap`` line of the README's shell blocks parses (nothing
+    runs), so an example that drifts from the flags fails here."""
+    commands = readme_commands()
+    assert commands
     parser = cli.build_parser()
     rejected = []
-    for line in lines:
+    for argv in commands:
         try:
-            parser.parse_args(shlex.split(line, comments=True)[1:])
+            parser.parse_args(argv)
         except SystemExit:
-            rejected.append(line)
+            rejected.append(" ".join(argv))
     assert rejected == []
+
+
+# sha256 of every data file the README's examples write with the README's
+# own seeds (manifest.json is left out: it records timings)
+README_OUTPUTS = {
+    "exact-gap --graph complete --n 2 --r 2": {
+        "exact_gap.json": "5332c51aa1f7c8c994b38ba48ddda6b28217229370439962e53996f2d0b3f437",
+    },
+    "exact-gap --d 1 --L 6 --rho 2": {
+        "exact_gap.json": "a07ccfc8455475e887129b0ce7c0790a02365e04d347d60c4ccd33b8deb79e6f",
+    },
+    "tv-curve --graph complete --n 3 --r 2 --t-max 10 --fit-window 5 10": {
+        "tv_curve.csv": "d07e7601c73999aa910bad268f7f964011e4facd13609ec1bcb4b85d41649a74",
+        "tv_curve.json": "db7e81c1d881c452e3b7b1fbc2fd21bb7899bd1a2d09363219b08082f99415fa",
+    },
+    "wilson --d 1 --L 5 --r 5": {
+        "wilson.json": "b1fb6a38c26a8040e7dcaee99fdb97c9440125d8ef548986cc73a290aa0a74a6",
+    },
+    "flow --d 1 --L 4": {
+        "flow.csv": "29448b49d43389d9fc0624aa244654cca664b9f970e225bbdd3808bfdd24b046",
+        "flow.json": "f64897dab175459b9e03cb4843a19c35e4d90c80a9b9c1bf23d00997c8da18e2",
+    },
+    "certificate --d 1 --L 4 --r 2": {
+        "certificate.json": "c8d075ee0c743e76e9005b167f5ff01f1789b4e6c916e1cd059a14a46cc7a325",
+    },
+    "couple --n 4 --r 4 --replicas 3000 --seed 7": {
+        "couple.csv": "32e50c18ca67c69f96966accc9c63c6f8277d5b10e7672a8e55ad361b6d415e6",
+        "couple.json": "417265f44708e0dd4d073eac0ff8047a344afd3fff368192e755cdc081302869",
+    },
+    "zeta-balance --n 4 --j 1 --dump-chain": {
+        "zeta_balance.json": "6efe4ef62cbdf71c551ed8c095f0af01b79aee270b579e823fdf51ddfa44df2e",
+        "zeta_chain.json": "7f1360ec56efb8688adc6ebd49e666b80b3a2aad16cbdf0b8c7d33f899fe03ae",
+    },
+    "reversal-w --n 4 --j 1 --replicas 2000 --seed 7": {
+        "reversal_w.csv": "9f3ab2dc90fbd1035feba7f4a231b5f239f37c1c7d9d831df6de4babca3d570b",
+        "reversal_w.json": "52da04a9b4de39e62e640700d3c9af6fc23f552ebbfee60be6050f568e02929e",
+    },
+    "drift --n 4 --j 1 --replicas 10000 --seed 7": {
+        "drift.json": "21d1354eca8bd27ac892fe1d41b43ea39ff4da0fdcc9e6f152ce17087838d637",
+    },
+    "occupancy --n 8 --r 8 --horizon 10000 --seed 7": {
+        "occupancy.csv": "5c08947102b73edb1f722e9da890f827166e3e4294dad8cb68995bfd885d8567",
+        "occupancy.json": "5e2e17b116aab91d827095c9aaa5714aaccb1e348bb188eb5d4bd3c0917e1c4e",
+    },
+    "tails --kind skellam --lam 1 --m 0,1,2": {
+        "tails.csv": "06521e7accecc2d4b3aeae68531b234a5e08d224ebb6eef624ce6f448ba50f01",
+        "tails.json": "c74ec7df9e83cdeb0f744ff36bcb63492dbae36ad408869c7730422866ca8d00",
+    },
+    "tails --kind rw --r-values 1,2,4,8 --replicas 100000 --seed 7": {
+        "tails.csv": "e08817e4c2e96b320c922efe2e8798bca7a7114d96367ebe320279f56a4aee5f",
+        "tails.json": "5db746d5000899da5103ba952ef6d38e8627731e4a349602bc776edc19e21078",
+    },
+    "sweep --task exact-gap --L-values 3,4,5,6 --rho-values 1/3,1,2": {
+        "sweep.csv": "fad61fbd4b1aa31df2c51659b0cc1d9ccdbddb3785b6ed31336d9b05ebdde09b",
+        "sweep.json": "afb3b657eb36591586c75c8bcae8a9382e808e6791c0a804905a0bbaac7c5014",
+    },
+}
+
+
+def test_readme_outputs_are_pinned(tmp_path, capsys):
+    assert list(README_OUTPUTS) == [" ".join(argv) for argv in readme_commands()]
+    changed = []
+    for k, (command, pins) in enumerate(README_OUTPUTS.items()):
+        code, out = run_cli(command.split(), tmp_path, f"cmd{k:02d}")
+        assert code == 0, command
+        written = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.iterdir()
+            if path.name != "manifest.json"
+        }
+        if written != pins:
+            changed.append(command)
+    assert changed == []
 
 
 def test_sweep_success_and_partial(tmp_path):
@@ -275,8 +400,26 @@ def test_sweep_success_and_partial(tmp_path):
     assert code == 3
     manifest = read_json(out / "manifest.json")
     assert manifest["status"] == "partial"
-    lines = (out / "sweep.csv").read_text().splitlines()
-    assert "CapacityError" in lines[2]
+    # the capacity error's text holds commas ("n=40, r=80"): its cell is quoted
+    with open(out / "sweep.csv", newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert len(header) == 9 and len(rows) == 2
+    assert [len(row) for row in rows] == [9, 9]
+    assert rows[1][-1].startswith("CapacityError: ") and "n=40, r=80" in rows[1][-1]
+
+
+def test_sweep_wilson_rows(tmp_path):
+    code, out = run_cli(
+        ["sweep", "--task", "wilson", "--L-values", "3", "--rho-values", "1"],
+        tmp_path, "wilson",
+    )
+    assert code == 0
+    with open(out / "sweep.csv", newline="") as handle:
+        (row,) = csv.DictReader(handle)
+    assert (row["d"], row["L"], row["r"]) == ("1", "3", "3")
+    assert row["relaxation_time"] == "" and row["error"] == ""
+    quotient = float(row["gap"])
+    assert float(row["normalized"]) == pytest.approx(quotient * 4 * 9)
 
 
 def test_exact_gap_reruns_are_byte_identical(tmp_path):
@@ -427,6 +570,23 @@ def test_reversal_and_drift_subcommands(tmp_path, capsys):
     assert payload["nonnegative_within_2se"] is True
 
 
+def test_reversal_w_tail_fit(tmp_path, capsys):
+    # 1,179 of the 1,500 runs hit after time 0: enough for the tail fit
+    code, out = run_cli(
+        ["reversal-w", "--n", "3", "--j", "1", "--replicas", "1500", "--seed", "5",
+         "--c-param", "0.3", "--bootstrap", "20"],
+        tmp_path, "fit",
+    )
+    assert code == 0
+    fit = json.loads(capsys.readouterr().out)["tail_fit"]
+    assert fit["n_uncensored"] == 1179
+    assert fit["gamma_ci95"][0] < fit["gamma"] < fit["gamma_ci95"][1]
+    with open(out / "reversal_w.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 1500
+    assert sum(float(row["W"]) > 0 for row in rows) == 1179
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"graph": "complete", "n": 3, "r": 1}))
@@ -470,6 +630,31 @@ def test_config_supplies_required_flag(tmp_path):
     code, out = run_cli(["flow", "--config", str(cfg), "--L", "3"], tmp_path, "flag_wins")
     assert code == 0
     assert (out / "flow.csv").read_text().splitlines()[1].startswith("1,3,")
+
+
+def test_config_lists_and_switches(tmp_path, capsys):
+    # a list joins with commas, or spreads over an nargs flag; a switch set
+    # to true is passed and one set to false is left out
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"L_values": [3, 4], "rho_values": ["1/3"]}))
+    code, out = run_cli(["sweep", "--config", str(cfg)], tmp_path, "sweep")
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["points"] == 2
+    assert read_json(out / "manifest.json")["config"]["L_values"] == [3, 4]
+
+    cfg = tmp_path / "tv.json"
+    cfg.write_text(json.dumps({"graph": "complete", "n": 3, "r": 2,
+                               "fit_window": [5, 10]}))
+    code, _ = run_cli(["tv-curve", "--config", str(cfg)], tmp_path, "tv")
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["fit_window"] == [5.0, 10.0]
+
+    for switch, written in ((True, True), (False, False)):
+        cfg = tmp_path / "zb.json"
+        cfg.write_text(json.dumps({"n": 3, "j": 1, "dump_chain": switch}))
+        code, out = run_cli(["zeta-balance", "--config", str(cfg)], tmp_path, f"zb{switch}")
+        assert code == 0
+        assert (out / "zeta_chain.json").exists() is written
 
 
 def test_default_outdir_env(tmp_path, monkeypatch, capsys):

@@ -5,11 +5,9 @@ import pytest
 from zrpgap import flow, graphs
 from zrpgap.errors import CapacityError
 from zrpgap.flow import (
-    CERTIFICATE_CSV_HEADER,
     all_shortest_paths,
     comparison_certificate,
     edge_loads,
-    format_rational,
     induced_flow_check,
 )
 from zrpgap.graphs import Complete, Torus, all_pairs_bfs, bfs_distance_counts
@@ -120,8 +118,6 @@ def test_certificate_values():
     assert cert4.bound_factor == Fraction(16, 3)
     assert cert4.headline_factor == 32
     assert cert4.tau1_bound == pytest.approx(4.0)
-    assert cert4.csv_row() == "1,4,4/3,2,16/3,32"
-    assert CERTIFICATE_CSV_HEADER.startswith("d,L,")
 
 
 @pytest.mark.parametrize("d,L", [(1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4)])
@@ -142,11 +138,6 @@ def test_certificate_rejects_bad_tau2(bad):
     with pytest.raises(ValueError, match="tau2"):
         comparison_certificate(Torus(1, 4), tau2=bad)
     assert comparison_certificate(Torus(1, 4), tau2=0.0).tau1_bound == 0.0
-
-
-def test_format_rational():
-    assert format_rational(Fraction(4, 3)) == "4/3"
-    assert format_rational(Fraction(6, 3)) == "2"
 
 
 @pytest.mark.parametrize(

@@ -377,13 +377,6 @@ def test_tv_decay_rate_matches_gap():
         assert abs(rate - gap) / gap < 0.01
 
 
-def test_tv_curve_csv():
-    gen = build_generator(Complete(2), 2)
-    text = tv_curve(gen, (2, 0), [0.0, 1.0]).to_csv()
-    assert text.splitlines()[0] == "time,tv"
-    assert len(text.splitlines()) == 3
-
-
 def brute_force_quotient(gen, values):
     """Double-sum Dirichlet form over variance, directly from the rates."""
     n = gen.dimension
