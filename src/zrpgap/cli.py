@@ -32,6 +32,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
+from .configurations import DEFAULT_MAX_CONFIGURATIONS, configuration_count
 from .coupling import (
     default_horizon,
     estimate_relaxation,
@@ -52,6 +53,7 @@ from .spectral import (
     UNIFORMIZATION_TAIL,
     WILSON_VARIANTS,
     build_generator,
+    check_uniformization_size,
     exact_gap,
     fit_decay_rate,
     tv_curve,
@@ -177,9 +179,11 @@ def _cmd_tv_curve(args):
     graph = _resolve_graph(args)
     r, echo = _resolve_particles(args, graph.vertex_count)
     # the uniformization rate, the largest exit rate, is min(r, n): refuse an
-    # over-budget series as _uniformize would, before any state is built
+    # over-budget series or table as _uniformize would, before any state is
+    # built
     poisson_truncation(min(r, graph.vertex_count) * args.t_max,
                        UNIFORMIZATION_TAIL, UNIFORMIZATION_MAX_TERMS - 1)
+    check_uniformization_size(args.points, configuration_count(graph.vertex_count, r))
     gen = build_generator(graph, r, max_states=args.max_states)
     times = [args.t_max * k / (args.points - 1) for k in range(args.points)]
     start = point_mass(graph.vertex_count, r)
@@ -437,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config file; flags override")
         if max_states:
             p.add_argument("--max-states", dest="max_states", type=_positive_int,
-                           default=200_000)
+                           default=DEFAULT_MAX_CONFIGURATIONS)
         if seed is not None:
             p.add_argument("--seed", type=int, default=None, required=seed)
 

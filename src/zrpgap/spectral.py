@@ -28,7 +28,7 @@ from .configurations import (
     rank_configuration,
     validate_configuration,
 )
-from .errors import SolverConvergenceError
+from .errors import CapacityError, SolverConvergenceError
 from .graphs import GraphSpec, Torus
 from .seeding import make_generator
 from .stats import (
@@ -38,16 +38,26 @@ from .stats import (
     poisson_truncation,
 )
 
-# Dense ``eigh`` and the deflated Lanczos solve of ``exact_gap`` cost the same
-# (2-7 ms) between about 120 and 220 states on a 2-core x86 machine; above
-# that the cubic dense solve loses fast (34 ms against 5 ms at 462 states).
+# Dense ``eigh`` and the Lanczos solve of ``exact_gap`` cost the same (1-2
+# ms) between about 120 and 170 states on one thread of a 2-core x86 machine;
+# above that the cubic dense solve loses fast (3.3 ms against 1.5 ms at 220
+# states, 21 ms against 2.6 ms at 462).  The threshold stays where it was
+# set, so small spaces keep their method and their outputs.
 DENSE_THRESHOLD = 200
-# ARPACK restarts the iterative gap solve may take before it fails as a
-# SolverConvergenceError.  Without a cap ARPACK allows 10 per state, which on
-# Complete(2) r=20,000 runs for minutes.  Every instance of the tests, the
-# README and the bench converges within 17 restarts; Complete(2) r=2,000,
-# whose gap is 2.5e-6, takes 2,660.
-LANCZOS_MAX_RESTARTS = 3_000
+# Matrix-vector products the iterative gap solve may take, over both of its
+# passes, before it fails as a SolverConvergenceError.  The count grows like
+# sqrt(c / gap): Complete(2) r=5,000 takes 10,000 and Complete(3) r=630 about
+# 3,000.  An overrun is found in pass one, after half the cap.
+LANCZOS_MAX_MATVECS = 20_000
+# The iterative solve stops once the Ritz residual estimate of its top pair
+# is at most LANCZOS_TOL times the shift c.  It checks every
+# LANCZOS_CHECK_EVERY steps or every tenth of the steps so far, whichever is
+# more (a check at step k costs O(k)), and at any step whose beta is at most
+# LANCZOS_BREAKDOWN times c: on a symmetric space the Krylov space can close
+# within a dozen steps, and going on past it only adds rounding.
+LANCZOS_CHECK_EVERY = 10
+LANCZOS_BREAKDOWN = 1e-6
+LANCZOS_TOL = 1e-12
 # Poisson mass left out of a uniformization series, and the most terms it
 # may take before the run is refused as a capacity error
 UNIFORMIZATION_TAIL = 1e-12
@@ -55,6 +65,10 @@ UNIFORMIZATION_MAX_TERMS = 1_000_000
 # Poisson weights are evaluated this many terms at a time, so their table
 # stays small however long the series runs
 UNIFORMIZATION_BLOCK = 1024
+# Most float cells (8 bytes each) the two tables of one uniformization run
+# may hold: a distribution per time, and a Poisson weight per time for each
+# term of a block
+UNIFORMIZATION_MAX_CELLS = 10**8
 
 
 @dataclass
@@ -165,30 +179,98 @@ class SpectralReport:
         }
 
 
+def _lanczos(shifted, start):
+    """Yield ``(q_k, alpha_k, beta_k)``, k = 0, 1, ..., of the three-term
+    Lanczos recurrence of ``shifted`` from ``start``.
+
+    The constant vector is projected out of every product, so the
+    recurrence runs on its orthogonal complement.  There is no
+    reorthogonalization: that keeps the extreme Ritz pair accurate (Paige
+    1976) and memory at a few vectors.  Each step costs one sparse product
+    and in-place level-1 BLAS updates.
+    """
+    from scipy.linalg.blas import daxpy, ddot, dnrm2, dscal
+
+    q = start - start.mean()
+    dscal(1.0 / dnrm2(q), q)
+    q_prev = np.zeros_like(q)
+    beta = 0.0
+    while True:
+        w = shifted @ q
+        w -= w.mean()
+        daxpy(q_prev, w, a=-beta)
+        alpha = ddot(q, w)
+        daxpy(q, w, a=-alpha)
+        beta = dnrm2(w)
+        yield q, alpha, beta
+        q_prev, q = q, dscal(1.0 / beta, w)
+
+
+def _top_eigenvector(gen: Generator) -> np.ndarray:
+    """Unit eigenvector of the largest eigenvalue of ``Q + c I`` on the
+    complement of the constant vector, ``c`` twice the largest exit rate.
+
+    Pass one keeps only the tridiagonal ``T_k`` and stops once the Ritz
+    residual ``beta_k |y_k|`` of its top pair is small enough, or when the
+    basis spans the complement.  Pass two reruns the recurrence from the
+    same start to sum the Ritz vector, so no basis is stored.
+    """
+    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.blas import daxpy
+
+    dim = gen.dimension
+    c = 2.0 * float(-gen.matrix.diagonal().min())
+    tol = LANCZOS_TOL * c
+    shifted = gen.matrix + c * scipy.sparse.identity(dim, format="csr")
+    start = np.random.default_rng(0).standard_normal(dim)
+    alphas, betas = [], []
+    next_check = LANCZOS_CHECK_EVERY
+    for k, (_, alpha, beta) in enumerate(_lanczos(shifted, start), start=1):
+        if 2 * k > LANCZOS_MAX_MATVECS:
+            raise SolverConvergenceError(
+                f"eigensolver did not converge on dimension {dim} within "
+                f"{LANCZOS_MAX_MATVECS} matrix-vector products"
+            )
+        alphas.append(alpha)
+        betas.append(beta)
+        if k >= next_check or beta <= LANCZOS_BREAKDOWN * c or k == dim - 1:
+            next_check = k + max(LANCZOS_CHECK_EVERY, k // 10)
+            _, ritz = eigh_tridiagonal(
+                np.array(alphas), np.array(betas[:-1]), select="i", select_range=(k - 1, k - 1)
+            )
+            ritz = ritz[:, 0]
+            if beta * abs(ritz[-1]) <= tol or k == dim - 1:
+                break
+    vec = np.zeros(dim)
+    for weight, (q, _, _) in zip(ritz.tolist(), _lanczos(shifted, start)):
+        daxpy(q, vec, a=weight)
+    return vec / np.linalg.norm(vec)
+
+
 def exact_gap(gen: Generator, method: str = "auto") -> SpectralReport:
     """Smallest nonzero eigenvalue of the negated generator.
 
     Dense symmetric eigendecomposition up to ``DENSE_THRESHOLD`` states; it
     raises ``SolverConvergenceError`` unless the zero eigenvalue is simple.
-    Above it, Lanczos with no factorization: ARPACK finds the largest
-    eigenvalue theta of ``P (c I + Q) P``, where P projects out the constant
-    vector (the zero mode) and ``c`` is twice the largest exit rate, so that
-    ``c`` bounds the spectrum of -Q by Gershgorin.  The gap is the Rayleigh
-    quotient of -Q at theta's eigenvector, not ``c - theta``, whose
-    subtraction cancels when the gap is small against ``c``.
-    The start vector is fixed, so repeated solves return the same floats;
-    more than ``LANCZOS_MAX_RESTARTS`` restarts raise
-    ``SolverConvergenceError``.  The 2-norm residual of the computed
-    eigenpair is reported either way.
+    Above it, Lanczos with no factorization: a two-pass plain Lanczos finds
+    the eigenvector of the largest eigenvalue of ``Q + c I`` off the
+    constant vector (the zero mode), where ``c`` is twice the largest exit
+    rate, so that ``c`` bounds the spectrum of -Q by Gershgorin.  The gap is
+    the Rayleigh quotient of -Q at that eigenvector, not ``c - theta``,
+    whose subtraction cancels when the gap is small against ``c``.
+    The start vector is fixed, so repeated solves return the same floats; a
+    solve that needs more than ``LANCZOS_MAX_MATVECS`` matrix-vector
+    products raises ``SolverConvergenceError``.  The 2-norm residual of the
+    computed eigenpair is reported either way.
     """
     dim = gen.dimension
     if dim < 2:
         raise ValueError("gap undefined on a single-configuration space")
     if method == "auto":
         method = "dense" if dim <= DENSE_THRESHOLD else "iterative"
-    neg = -gen.matrix
     if method == "dense":
-        values, vectors = np.linalg.eigh(neg.toarray())
+        neg = -gen.matrix.toarray()
+        values, vectors = np.linalg.eigh(neg)
         # the zero mode must be simple: a second eigenvalue at zero means a
         # reducible generator (or a failed solve), which has no gap; zero
         # here is within 1e-9 of the largest exit rate
@@ -203,30 +285,12 @@ def exact_gap(gen: Generator, method: str = "auto") -> SpectralReport:
     elif method == "iterative":
         if dim < 3:
             raise ValueError("the iterative solver needs at least 3 configurations")
-        import scipy.sparse.linalg
-
-        c = 2.0 * float(neg.diagonal().max())
-
-        def shifted(x):
-            y = c * x - neg @ x
-            return y - y.mean()
-
-        op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=shifted, dtype=float)
-        v0 = np.random.default_rng(0).standard_normal(dim)
-        try:
-            _, vectors = scipy.sparse.linalg.eigsh(
-                op, k=1, which="LA", v0=v0, maxiter=LANCZOS_MAX_RESTARTS
-            )
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise SolverConvergenceError(
-                f"eigensolver did not converge on dimension {dim}: {exc}",
-            ) from exc
-        vec = vectors[:, 0]
+        vec = _top_eigenvector(gen)
         dirichlet, variance = _rayleigh_parts(gen, vec)
         gap = dirichlet / variance
     else:
         raise ValueError(f"unknown method {method!r}")
-    residual = float(np.linalg.norm(neg @ vec - gap * vec))
+    residual = float(np.linalg.norm(gen.matrix @ vec + gap * vec))
     if gap <= 0:
         raise SolverConvergenceError(
             f"computed gap {gap} is not positive (dimension {dim}, residual {residual:.3g})"
@@ -244,6 +308,17 @@ def exact_gap(gen: Generator, method: str = "auto") -> SpectralReport:
 # Transient analysis by uniformization
 # ---------------------------------------------------------------------------
 
+def check_uniformization_size(points: int, states: int) -> None:
+    """Refuse, as a CapacityError, a uniformization at ``points`` times over
+    ``states`` states whose tables would exceed ``UNIFORMIZATION_MAX_CELLS``."""
+    cells = points * max(states, UNIFORMIZATION_BLOCK)
+    if cells > UNIFORMIZATION_MAX_CELLS:
+        raise CapacityError(
+            f"{points} times over {states} states need {cells} table cells, "
+            f"over the budget of {UNIFORMIZATION_MAX_CELLS}"
+        )
+
+
 def _uniformize(
     matrix, start_vector, times, tail_tol=UNIFORMIZATION_TAIL, max_terms=UNIFORMIZATION_MAX_TERMS
 ) -> np.ndarray:
@@ -257,6 +332,7 @@ def _uniformize(
     not yet left its block.
     """
     dim = matrix.shape[0]
+    check_uniformization_size(times.size, dim)
     lam = float(-matrix.diagonal().min()) if dim else 0.0
     out = np.zeros((times.size, dim))
     if lam <= 0.0:

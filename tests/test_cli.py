@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,21 @@ def test_uniformization_budget_exit_code(tmp_path, capsys, monkeypatch):
         assert not out.exists()
 
 
+def test_tv_curve_points_budget_exit_code(tmp_path, capsys, monkeypatch):
+    # 10**9 times over 6 states: refused before assembly or any table
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("build_generator called")
+
+    monkeypatch.setattr(cli, "build_generator", no_assembly)
+    started = time.perf_counter()
+    code, out = run_cli(["tv-curve", "--graph", "complete", "--n", "3", "--r", "2",
+                         "--points", "1000000000"], tmp_path, "points")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert "capacity error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lam", ["1e7", "1e13"])
 def test_skellam_truncation_budget_exit_code(lam, tmp_path, capsys):
     code, out = run_cli(["tails", "--kind", "skellam", "--lam", lam], tmp_path, "skellam")
@@ -315,7 +331,7 @@ README_OUTPUTS = {
         "exact_gap.json": "5332c51aa1f7c8c994b38ba48ddda6b28217229370439962e53996f2d0b3f437",
     },
     "exact-gap --d 1 --L 6 --rho 2": {
-        "exact_gap.json": "a07ccfc8455475e887129b0ce7c0790a02365e04d347d60c4ccd33b8deb79e6f",
+        "exact_gap.json": "4b1fbb7324abe2b4ab552e7cf0ffb75d8db44915a8ffa436c80b6e786509d3a6",
     },
     "tv-curve --graph complete --n 3 --r 2 --t-max 10 --fit-window 5 10": {
         "tv_curve.csv": "d07e7601c73999aa910bad268f7f964011e4facd13609ec1bcb4b85d41649a74",
@@ -359,7 +375,7 @@ README_OUTPUTS = {
         "tails.json": "5db746d5000899da5103ba952ef6d38e8627731e4a349602bc776edc19e21078",
     },
     "sweep --task exact-gap --L-values 3,4,5,6 --rho-values 1/3,1,2": {
-        "sweep.csv": "fad61fbd4b1aa31df2c51659b0cc1d9ccdbddb3785b6ed31336d9b05ebdde09b",
+        "sweep.csv": "1ab517b0f5e2bf6e4751a16038b3b13c49c13fdc0eebe07033909110430badbb",
         "sweep.json": "afb3b657eb36591586c75c8bcae8a9382e808e6791c0a804905a0bbaac7c5014",
     },
 }
@@ -449,13 +465,14 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "SolverConvergenceError" in lines[1]
 
 
-def test_solver_restart_cap_exit_code(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(spectral, "LANCZOS_MAX_RESTARTS", 5)
+def test_solver_matvec_cap_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(spectral, "LANCZOS_MAX_MATVECS", 100)
     code, _ = run_cli(["exact-gap", "--graph", "complete", "--n", "2", "--r", "300"],
                       tmp_path, "cap")
     assert code == 4
     err = capsys.readouterr().err
-    assert "solver error" in err and "Traceback" not in err
+    assert err.startswith("solver error") and "matrix-vector products" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_sweep_empty_grid(tmp_path):
@@ -721,8 +738,8 @@ def test_cli_import_leaves_scipy_stats_out():
 
 
 # Loaded on first use only.  These tests run in a fresh interpreter:
-# tests/test_stats.py imports scipy.stats, and with it all three, at collection.
-SCIPY_SUBPACKAGES = ("scipy.sparse", "scipy.sparse.linalg", "scipy.special")
+# tests/test_stats.py imports scipy.stats, and with it all four, at collection.
+SCIPY_SUBPACKAGES = ("scipy.sparse", "scipy.sparse.linalg", "scipy.special", "scipy.linalg")
 
 
 def fresh_interpreter(code):
@@ -744,9 +761,9 @@ def test_cli_import_leaves_scipy_subpackages_out():
 
 
 # the subpackages each CLI run loads; the iterative gap solve is the only
-# user of scipy.sparse.linalg
+# user of scipy.linalg, and nothing loads scipy.sparse.linalg
 SCIPY_LOADS = {
-    "exact-gap --d 1 --L 6 --rho 2": ["scipy.sparse", "scipy.sparse.linalg"],
+    "exact-gap --d 1 --L 6 --rho 2": ["scipy.sparse", "scipy.linalg"],
     "tv-curve --graph complete --n 3 --r 2": ["scipy.sparse", "scipy.special"],
     "tails --kind skellam": ["scipy.special"],
     "flow --d 1 --L 4": [],

@@ -226,7 +226,8 @@ def test_k2_gap_matches_birth_death_closed_form():
     # relative accuracy at a small gap, where c - theta would lose up to 1e-9
     # on the iterative path: its gap is the Rayleigh quotient instead
     for r, method, tol in [(150, "dense", 1e-10), (300, "iterative", 1e-12),
-                           (500, "iterative", 1e-12), (1000, "iterative", 1e-12)]:
+                           (500, "iterative", 1e-12), (1000, "iterative", 1e-12),
+                           (2000, "iterative", 1e-10), (5000, "iterative", 1e-10)]:
         exact = 4.0 * math.sin(math.pi / (2 * (r + 1))) ** 2
         gap = exact_gap(build_generator(Complete(2), r), method=method).gap
         assert abs(gap - exact) <= tol * exact
@@ -266,11 +267,12 @@ def test_iterative_gap_is_reproducible():
         assert exact_gap(gen, method="iterative") == first
 
 
-def test_iterative_restart_cap_raises(monkeypatch):
-    # Complete(2) r=300 needs 79 ARPACK restarts; the cap is read per call
+def test_iterative_matvec_cap_raises(monkeypatch):
+    # Complete(2) r=300 needs about 600 matrix-vector products; the cap is
+    # read per call
     gen = build_generator(Complete(2), 300)
     assert exact_gap(gen, method="iterative").gap > 0
-    monkeypatch.setattr(spectral, "LANCZOS_MAX_RESTARTS", 5)
+    monkeypatch.setattr(spectral, "LANCZOS_MAX_MATVECS", 100)
     with pytest.raises(SolverConvergenceError, match="did not converge"):
         exact_gap(gen, method="iterative")
 
@@ -356,6 +358,14 @@ def test_uniformization_budget_is_checked_before_the_series(monkeypatch):
     for t_max in (1e300, 0.5 * spectral.UNIFORMIZATION_MAX_TERMS + 1.0):
         with pytest.raises(CapacityError, match="budget"):
             transient_distribution(gen, (2, 0, 0), [0.0, t_max])
+
+
+def test_uniformization_tables_are_budgeted():
+    # 100,001 times: a block of Poisson weights may take 1,024 rows of
+    # them, over 10**8 floats, so the run is refused before any table
+    gen = build_generator(Complete(3), 2)
+    with pytest.raises(CapacityError, match="table cells"):
+        transient_distribution(gen, (2, 0, 0), np.zeros(10**5 + 1))
 
 
 def test_tv_curve_point_start():
