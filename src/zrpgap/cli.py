@@ -49,14 +49,12 @@ from .reversal import (
     sample_hitting_times,
 )
 from .spectral import (
-    UNIFORMIZATION_MAX_TERMS,
-    UNIFORMIZATION_TAIL,
     WILSON_VARIANTS,
     build_generator,
-    check_uniformization_size,
     exact_gap,
     fit_decay_rate,
     tv_curve,
+    uniformization_terms,
     wilson_bound,
 )
 from .stats import (
@@ -65,7 +63,6 @@ from .stats import (
     fit_exponential_tail,
     occupancy_stats,
     poisson_concentration,
-    poisson_truncation,
     rw_no_return_probability,
     skellam_table,
 )
@@ -179,11 +176,10 @@ def _cmd_tv_curve(args):
     graph = _resolve_graph(args)
     r, echo = _resolve_particles(args, graph.vertex_count)
     # the uniformization rate, the largest exit rate, is min(r, n): refuse an
-    # over-budget series or table as _uniformize would, before any state is
+    # over-budget table or series as _uniformize would, before any state is
     # built
-    poisson_truncation(min(r, graph.vertex_count) * args.t_max,
-                       UNIFORMIZATION_TAIL, UNIFORMIZATION_MAX_TERMS - 1)
-    check_uniformization_size(args.points, configuration_count(graph.vertex_count, r))
+    uniformization_terms(min(r, graph.vertex_count), args.t_max, args.points,
+                         configuration_count(graph.vertex_count, r))
     gen = build_generator(graph, r, max_states=args.max_states)
     times = [args.t_max * k / (args.points - 1) for k in range(args.points)]
     start = point_mass(graph.vertex_count, r)

@@ -65,20 +65,6 @@ def enumerate_configurations(n: int, r: int, limit: int = DEFAULT_MAX_CONFIGURAT
     return occ
 
 
-def _rank_table(n: int, r: int) -> np.ndarray:
-    """``table[m, x + 1] = C(x + m, m)`` for ``m < n`` and ``x <= r``, with a
-    leading zero column so that ``table[m, 0]`` reads the ``x = -1`` entry 0.
-
-    Row m is the running sum of row m - 1 (Pascal's rule), and every entry is
-    at most C(r + n - 1, n - 1), the size of the space, so int64 is exact.
-    """
-    table = np.zeros((n, r + 2), dtype=np.int64)
-    table[0, 1:] = 1
-    for m in range(1, n):
-        np.cumsum(table[m - 1], out=table[m])
-    return table
-
-
 def move_kernel(occ: np.ndarray):
     """Single-particle moves of every configuration of one (n, r) space.
 
@@ -91,39 +77,41 @@ def move_kernel(occ: np.ndarray):
 
     With ``R_j`` the particles at positions >= j and ``T[m, x] = C(x + m, m)``,
     the rank of a configuration is ``T[n-1, r] - 1 - sum_{j=1}^{n-1}
-    T[n-j, R_j - 1]``.  A move v -> w raises ``R_j`` by one on v < j <= w, or
-    lowers it by one on w < j <= v, and leaves the rest alone, so by Pascal's
-    rule the rank of row i after the move is
+    T[n-j, R_j - 1]``.  A move v -> w with v < w raises ``R_j`` by one on
+    v < j <= w and leaves the rest alone, so by Pascal's rule the rank of
+    row i after the move is
 
-        i - sum_{j=v+1}^{w} T[n-1-j, R_j]        if v < w,
-        i + sum_{j=w+1}^{v} T[n-1-j, R_j - 1]    if w < v.
+        i - sum_{j=v+1}^{w} T[n-1-j, R_j],
 
-    Both sums are differences of two prefix tables, ``up`` and ``down``,
-    built once per call, so every move costs two gathers and a subtraction
-    (w = v takes the ``up`` form, whose sum is empty).
+    a difference of two entries of one prefix table ``up``, built once per
+    call (w = v gives an empty sum).  A move v -> w with w < v undoes the
+    move w -> v, a bijection from the rows with w occupied onto the rows
+    with v occupied, so its ranks are that move's sources, scattered to the
+    positions of its targets.
     """
     dim, n = occ.shape
     r = int(occ[0].sum())
-    table = _rank_table(n, r)
+    # table[m, x] = C(x + m, m): row m is the running sum of row m - 1, and
+    # every entry is at most C(r + n - 1, n - 1) = dim, so int64 is exact
+    table = np.ones((n, r + 1), dtype=np.int64)
+    for m in range(1, n):
+        np.cumsum(table[m - 1], out=table[m])
     up = np.zeros((n, dim), dtype=np.int64)
-    down = np.zeros((n, dim), dtype=np.int64)
     rem = np.full(dim, r, dtype=np.int64)
     for j in range(1, n):
         rem -= occ[:, j - 1]
-        row = table[n - 1 - j]  # row[1:][x] is T[n-1-j, x], row[x] is T[n-1-j, x-1]
-        np.add(up[j - 1], row[1:][rem], out=up[j])
-        np.add(down[j - 1], row[rem], out=down[j])
+        np.add(up[j - 1], table[n - 1 - j][rem], out=up[j])
 
     def moves(v, ws):
         src = np.flatnonzero(occ[:, v])
         from_up = src + up[v, src]
-        from_down = src + down[v, src]
         ranks = np.empty((len(ws), src.size), dtype=np.int64)
         for k, w in enumerate(ws):
             if w >= v:
                 np.subtract(from_up, up[w, src], out=ranks[k])
             else:
-                np.subtract(from_down, down[w, src], out=ranks[k])
+                rows = np.flatnonzero(occ[:, w])
+                ranks[k, np.searchsorted(src, rows - up[v, rows] + up[w, rows])] = rows
         return src, ranks
 
     return moves

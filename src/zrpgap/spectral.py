@@ -308,15 +308,19 @@ def exact_gap(gen: Generator, method: str = "auto") -> SpectralReport:
 # Transient analysis by uniformization
 # ---------------------------------------------------------------------------
 
-def check_uniformization_size(points: int, states: int) -> None:
-    """Refuse, as a CapacityError, a uniformization at ``points`` times over
-    ``states`` states whose tables would exceed ``UNIFORMIZATION_MAX_CELLS``."""
+def uniformization_terms(rate: float, t_max: float, points: int, states: int,
+                         tail=UNIFORMIZATION_TAIL, max_terms=UNIFORMIZATION_MAX_TERMS) -> int:
+    """Last term of a uniformization series at ``rate`` to time ``t_max``,
+    cut at Poisson tail ``tail``, kept at ``points`` times over ``states``
+    states.  Refused as a CapacityError when its tables would pass
+    ``UNIFORMIZATION_MAX_CELLS`` or, checked second, its terms ``max_terms``."""
     cells = points * max(states, UNIFORMIZATION_BLOCK)
     if cells > UNIFORMIZATION_MAX_CELLS:
         raise CapacityError(
             f"{points} times over {states} states need {cells} table cells, "
             f"over the budget of {UNIFORMIZATION_MAX_CELLS}"
         )
+    return poisson_truncation(rate * t_max, tail, max_terms - 1) + 1
 
 
 def _uniformize(
@@ -332,13 +336,14 @@ def _uniformize(
     not yet left its block.
     """
     dim = matrix.shape[0]
-    check_uniformization_size(times.size, dim)
     lam = float(-matrix.diagonal().min()) if dim else 0.0
+    # with no exits the series has one term, whatever the times: there may be none
+    t_max = float(times.max()) if lam > 0.0 else 0.0
+    kmax = uniformization_terms(lam, t_max, times.size, dim, tail_tol, max_terms)
     out = np.zeros((times.size, dim))
     if lam <= 0.0:
         out[:] = start_vector
         return out
-    kmax = poisson_truncation(lam * float(times.max()), tail_tol, max_terms - 1) + 1
     kernel_t = (scipy.sparse.identity(dim, format="csr") + matrix / lam).T
     mu = np.array(start_vector, dtype=float)
     for first in range(0, kmax + 1, UNIFORMIZATION_BLOCK):

@@ -620,6 +620,17 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert code == 1
 
 
+def test_config_file_must_be_a_readable_json_object(tmp_path, capsys):
+    listed = tmp_path / "list.json"
+    listed.write_text(json.dumps([1]))
+    for path, message in ((tmp_path / "missing.json", "cannot read config file"),
+                          (listed, "config file must hold a JSON object")):
+        code, out = run_cli(["exact-gap", "--config", str(path)], tmp_path, "cfg")
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_config_values_go_through_flag_types(tmp_path, capsys):
     cfg = tmp_path / "typed.json"
     cfg.write_text(json.dumps({"L": "5", "rho": 1}))
@@ -716,6 +727,11 @@ def test_default_outdir_env(tmp_path, monkeypatch, capsys):
         "certificate --d 1 --L 4 --tau2 -3",
         "certificate --d 1 --L 3 --r 2 --tau2 1",
         "occupancy --n 4 --r 4 --seed 1 --horizon 10 --m-param -1",
+        "exact-gap --graph complete --r 2",
+        "exact-gap --r 2",
+        "exact-gap --d 1 --L 4 --r -1",
+        "tv-curve --graph complete --n 3 --r 2 --t-max -1",
+        "wilson --graph complete --n 4 --r 2",
     ],
 )
 def test_bad_values_exit_1_without_traceback(args, tmp_path, capsys):

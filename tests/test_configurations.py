@@ -64,6 +64,18 @@ def test_enumeration_peak_memory_is_near_its_result():
     assert peak < 2.2 * configs.nbytes
 
 
+def test_move_kernel_peak_memory_is_one_prefix_table():
+    # one (n, N) int64 prefix table serves moves in both directions
+    configs = enumerate_configurations(8, 12)
+    tracemalloc.start()
+    try:
+        move_kernel(configs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * configs.nbytes
+
+
 def assert_moves_match_scalar_ranks(configs, targets):
     """Oracle: move each row's particle with plain lists and rank the result."""
     moves = move_kernel(configs)

@@ -666,6 +666,14 @@ def test_survival_agreement_admits_the_chain_limit():
     assert agreement.sup_difference <= 1e-10
 
 
+def test_survival_agreement_refuses_above_the_chain_limit(monkeypatch):
+    # the limit is read at call time, so a small chain stands in for a large one
+    chain = build_tagged_pair_chain(4, 1)
+    monkeypatch.setattr(reversal, "DEFAULT_MAX_CHAIN_STATES", chain.size - 1)
+    with pytest.raises(CapacityError, match="exceed the limit"):
+        survival_agreement(chain, [0.5])
+
+
 def _runs_digest(results):
     return hashlib.sha256(
         repr([dataclasses.astuple(x) for x in results]).encode()
