@@ -334,8 +334,8 @@ README_OUTPUTS = {
         "exact_gap.json": "4b1fbb7324abe2b4ab552e7cf0ffb75d8db44915a8ffa436c80b6e786509d3a6",
     },
     "tv-curve --graph complete --n 3 --r 2 --t-max 10 --fit-window 5 10": {
-        "tv_curve.csv": "d07e7601c73999aa910bad268f7f964011e4facd13609ec1bcb4b85d41649a74",
-        "tv_curve.json": "db7e81c1d881c452e3b7b1fbc2fd21bb7899bd1a2d09363219b08082f99415fa",
+        "tv_curve.csv": "a4287ac3f74ffff387dd89d38470a099f973ff89635f5bf51b830c3f648d2594",
+        "tv_curve.json": "a17cc21b4aeb24f50c9a2006ccac58659b1c9edbad88ad269dc26d4e76933d99",
     },
     "wilson --d 1 --L 5 --r 5": {
         "wilson.json": "b1fb6a38c26a8040e7dcaee99fdb97c9440125d8ef548986cc73a290aa0a74a6",
@@ -345,7 +345,7 @@ README_OUTPUTS = {
         "flow.json": "f64897dab175459b9e03cb4843a19c35e4d90c80a9b9c1bf23d00997c8da18e2",
     },
     "certificate --d 1 --L 4 --r 2": {
-        "certificate.json": "c8d075ee0c743e76e9005b167f5ff01f1789b4e6c916e1cd059a14a46cc7a325",
+        "certificate.json": "b62b1dc146fdda84cf290b4d54dcd5fa1327b317cf27a36c6bcaba474a0cd708",
     },
     "couple --n 4 --r 4 --replicas 3000 --seed 7": {
         "couple.csv": "32e50c18ca67c69f96966accc9c63c6f8277d5b10e7672a8e55ad361b6d415e6",
@@ -375,7 +375,7 @@ README_OUTPUTS = {
         "tails.json": "5db746d5000899da5103ba952ef6d38e8627731e4a349602bc776edc19e21078",
     },
     "sweep --task exact-gap --L-values 3,4,5,6 --rho-values 1/3,1,2": {
-        "sweep.csv": "1ab517b0f5e2bf6e4751a16038b3b13c49c13fdc0eebe07033909110430badbb",
+        "sweep.csv": "841722ccc72216f5f13379356746046c40a6a11cb7c34a9b6145cae7fd715a89",
         "sweep.json": "afb3b657eb36591586c75c8bcae8a9382e808e6791c0a804905a0bbaac7c5014",
     },
 }
@@ -758,11 +758,14 @@ def test_cli_import_leaves_scipy_stats_out():
 SCIPY_SUBPACKAGES = ("scipy.sparse", "scipy.sparse.linalg", "scipy.special", "scipy.linalg")
 
 
-def fresh_interpreter(code):
-    """Run ``code`` in a new interpreter; its last stdout line is JSON."""
+def fresh_interpreter(code, *args, **env):
+    """Run ``code`` with arguments ``args`` in a new interpreter; its last
+    stdout line is JSON.  Keyword arguments set environment variables, and
+    None removes one."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    env = {**os.environ, "PYTHONPATH": src, **env}
+    env = {name: value for name, value in env.items() if value is not None}
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -798,3 +801,44 @@ def test_scipy_subpackages_load_where_used(args, tmp_path):
     )
     assert code == 0
     assert loaded == SCIPY_LOADS[args]
+
+
+# Runs the README's commands given as JSON in argv[1], writing under
+# argv[2], and the Torus(1,7) r=7 transient law at 41 times; prints the
+# digests of their data files and of the law's bytes
+THREAD_CHECK = """
+import hashlib, json, sys
+from pathlib import Path
+import numpy as np
+from zrpgap import coupling, graphs, spectral
+from zrpgap.cli import main
+
+def sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+digests = {}
+for k, command in enumerate(json.loads(sys.argv[1])):
+    out = Path(sys.argv[2]) / f"cmd{k}"
+    assert main(command.split() + ["--out", str(out)]) == 0, command
+    digests[command] = {path.name: sha(path.read_bytes())
+                        for path in out.iterdir() if path.name != "manifest.json"}
+gen = spectral.build_generator(graphs.Torus(1, 7), 7)
+law = spectral.transient_distribution(gen, coupling.point_mass(7, 7), np.linspace(0.0, 80.0, 41))
+print(json.dumps([digests, sha(law.tobytes())]))
+"""
+
+
+def test_pinned_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # the README's float outputs and the tv_curve law of the spectral
+    # workload read the same bytes under one BLAS thread and the default
+    commands = [command for command in README_OUTPUTS
+                if command.startswith(("tv-curve", "sweep"))]
+    laws = []
+    for threads in ("1", None):
+        digests, law = fresh_interpreter(
+            THREAD_CHECK, json.dumps(commands), str(tmp_path / str(threads)),
+            OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+        )
+        assert digests == {command: README_OUTPUTS[command] for command in commands}
+        laws.append(law)
+    assert laws[0] == laws[1]

@@ -36,6 +36,7 @@ from zrpgap.spectral import (
     _uniformize,
     build_generator,
     transient_distribution,
+    uniformization_terms,
 )
 from zrpgap.stats import WINDOW_CONSTANT, fit_exponential_tail
 
@@ -302,21 +303,53 @@ def test_uniformization_matches_expm(case):
     assert np.abs(np.array(agreement.backward) - backward).max() <= 1e-12
 
 
+@pytest.mark.parametrize("points", [1, 7])
+@pytest.mark.parametrize("case", ["complete-2-r40", "killed-3-1"])
+def test_uniformization_matches_expm_across_blocks(case, points):
+    # series longer than UNIFORMIZATION_BLOCK terms, at 7 times, which do not
+    # divide a block; the killed block loses its mass fast, so each law is
+    # compared relative to the mass still in the block
+    if case == "complete-2-r40":
+        dense = build_generator(Complete(2), 40).matrix.toarray()
+        t_max = 600.0
+    else:
+        chain = build_tagged_pair_chain(3, 1)
+        keep = [i for i, state in enumerate(chain.states) if state != MERGED]
+        dense = dense_generator(chain)[np.ix_(keep, keep)]
+        t_max = 400.0
+    lam = float(-dense.diagonal().min())
+    assert uniformization_terms(lam, t_max, points, len(dense)) > UNIFORMIZATION_BLOCK
+    times = np.linspace(t_max / points, t_max, points)
+    point = np.zeros(len(dense))
+    point[1] = 1.0
+    laws = _uniformize(sparse.csr_matrix(dense), point, times)
+    expected = np.array([expm(t * dense)[1] for t in times])
+    assert (np.abs(laws - expected).max(axis=1) <= 1e-12 * expected.sum(axis=1)).all()
+
+
 def transposing_uniformize(matrix, start_vector, times):
-    """Reference uniformization that transposes the kernel on every term."""
+    """Reference uniformization that transposes the kernel on every term.
+
+    The powers are summed as ``_uniformize`` sums them: ``min(points,
+    UNIFORMIZATION_BLOCK)`` at a time, by one product with their weights.
+    """
     lam = float(-matrix.diagonal().min())
     kernel = sparse.identity(matrix.shape[0], format="csr") + matrix / lam
     kmax = int(sps.poisson.isf(UNIFORMIZATION_TAIL, lam * float(times.max()))) + 1
-    out = np.zeros((times.size, matrix.shape[0]))
+    rows = min(times.size, UNIFORMIZATION_BLOCK)
+    acc = np.zeros((matrix.shape[0], times.size))
     mu = np.array(start_vector, dtype=float)
     for first in range(0, kmax + 1, UNIFORMIZATION_BLOCK):
         ks = range(first, min(first + UNIFORMIZATION_BLOCK, kmax + 1))
         weights = sps.poisson.pmf(np.array(ks)[:, None], lam * times[None, :])
-        for k, weight in zip(ks, weights):
-            out += weight[:, None] * mu[None, :]
-            if k < kmax:
-                mu = kernel.T @ mu
-    return out
+        for lo in range(0, len(ks), rows):
+            powers = []
+            for k in ks[lo:lo + rows]:
+                powers.append(mu)
+                if k < kmax:
+                    mu = kernel.T @ mu
+            acc += np.array(powers).T @ weights[lo:lo + len(powers)]
+    return np.ascontiguousarray(acc.T)
 
 
 @pytest.mark.parametrize("case", ["tagged-3-1-unmerged", "complete-3-r2"])

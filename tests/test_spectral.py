@@ -338,6 +338,21 @@ def test_uniformization_memory_is_bounded():
     assert peak < 12 * 2**20
 
 
+def test_one_time_law_keeps_no_block_of_powers():
+    # Torus(1,8) r=12, 50,388 states: a table of UNIFORMIZATION_BLOCK powers
+    # would take 413 MB; one time needs the kernel, a sparse copy of the
+    # generator, and a few state vectors
+    gen = build_generator(Torus(1, 8), 12)
+    csr = sum(a.nbytes for a in (gen.matrix.data, gen.matrix.indices, gen.matrix.indptr))
+    tracemalloc.start()
+    try:
+        transient_distribution(gen, (12,) + (0,) * 7, [1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * csr + 16 * gen.dimension * 8
+
+
 @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
 def test_transient_distribution_rejects_non_finite_times(t):
     gen = build_generator(Complete(3), 2)
