@@ -29,6 +29,16 @@ from .configurations import configuration_count, enumerate_configurations, move_
 from .errors import CapacityError
 from .graphs import Torus, all_pairs_bfs
 
+# Most torus vertices :func:`edge_loads` admits.  Its all-pairs tables hold
+# n**2 Python ints, and its time grows like n**2 times the degree.  Measured
+# on one thread of a 2-core x86 machine (Python 3.11), in seconds and peak
+# RSS: Torus(2,30), 900 vertices, 1.0 s and 70 MB; Torus(4,6), 1,296, 4.0 s;
+# Torus(3,12), 1,728, 5.4 s; Torus(2,44), 1,936, 5.0 s; Torus(3,13), 2,197,
+# 9.5-12 s and 258 MB; Torus(4,7), 2,401, 15-16 s; Torus(2,50), 2,500,
+# 13-14 s and about 360 MB, the largest admitted.  At degree 14 and more it is
+# slower: Torus(11,2), 2,048, and Torus(7,3), 2,187, take 16-19 s.
+EDGE_LOADS_MAX_VERTICES = 2_500
+
 
 def _directed_edges(graph):
     return [(a, b) for a, row in enumerate(graph.neighbor_table) for b in set(row)]
@@ -70,10 +80,17 @@ def edge_loads(graph: Torus) -> EdgeLoadReport:
     For each directed edge the load sums, over ordered vertex pairs (u, v),
     the fraction of shortest u->v paths passing through it.  The undirected
     load adds both directions; by vertex-transitivity every undirected edge
-    carries the same load, which is also verified here.
+    carries the same load, which is also verified here.  A torus of more
+    than ``EDGE_LOADS_MAX_VERTICES`` vertices is refused as a CapacityError
+    before the BFS.
     """
     if not isinstance(graph, Torus):
         raise ValueError("edge loads are defined for the torus family")
+    if graph.vertex_count > EDGE_LOADS_MAX_VERTICES:
+        raise CapacityError(
+            f"{graph.vertex_count} torus vertices exceed the edge-load limit "
+            f"{EDGE_LOADS_MAX_VERTICES}"
+        )
     return _edge_loads(graph, *all_pairs_bfs(graph))
 
 

@@ -534,6 +534,13 @@ def _vertex_dirichlet_terms(graph: GraphSpec, phi: np.ndarray) -> np.ndarray:
     return terms
 
 
+def _wilson_terms(occ: np.ndarray, phi: np.ndarray, shares: np.ndarray):
+    """Dirichlet share and statistic value of each configuration in ``occ``
+    (one occupancy row, or a table of rows): the ``shares`` of its occupied
+    vertices summed, and sum_v phi(v) occ(v), each by a row-wise reduction."""
+    return np.where(occ > 0, shares, 0.0).sum(axis=-1), (occ * phi).sum(axis=-1)
+
+
 def wilson_bound(
     graph: Torus,
     r: int,
@@ -546,59 +553,54 @@ def wilson_bound(
     """Rayleigh quotient of the chosen cosine test function: a gap upper
     bound, hence a relaxation-time lower bound.
 
-    Modes: ``enumerate`` evaluates the quotient over the whole configuration
-    space; ``closed_form`` uses the exact occupancy-marginal formulas valid
-    for any linear statistic (the Dirichlet sum only sees which vertices are
-    occupied, and P(eta(v) > 0) = r/(n+r-1)); ``monte_carlo`` estimates both
-    pieces from uniform configuration samples and reports a standard error.
-    ``auto`` enumerates small spaces and otherwise uses the closed form.
+    The Dirichlet sum only sees which vertices are occupied, so
+    ``enumerate`` and ``monte_carlo`` average one per-configuration formula
+    (:func:`_wilson_terms`) over the occupancy rows of the whole space or
+    of uniform samples, the latter with a standard error.  ``closed_form``
+    uses the exact occupancy-marginal formulas valid for any linear
+    statistic (P(eta(v) > 0) = r/(n+r-1)).  ``auto`` enumerates small
+    spaces and otherwise uses the closed form.
     """
     if r < 1:
         raise ValueError("need at least one particle")
     phi = wilson_profile(graph, variant)
+    shares = _vertex_dirichlet_terms(graph, phi)
     n = graph.vertex_count
     if mode == "auto":
         mode = "enumerate" if configuration_count(n, r) <= max_states else "closed_form"
 
-    if mode == "enumerate":
-        gen = build_generator(graph, r, max_states=max_states)
-        dirichlet, variance = _rayleigh_parts(gen, gen.occupancies @ phi)
-        return WilsonBound(variant, mode, dirichlet / variance, dirichlet, variance)
-
     if mode == "closed_form":
-        occupied = float(1 - empty_probability_exact(n, r))
-        dirichlet = occupied * float(_vertex_dirichlet_terms(graph, phi).sum())
+        dirichlet = float(1 - empty_probability_exact(n, r)) * float(shares.sum())
         variance = _linear_statistic_variance(graph, r, phi)
-        if variance <= 1e-300:
-            raise ValueError("zero-variance test function")
-        return WilsonBound(variant, mode, dirichlet / variance, dirichlet, variance)
-
-    if mode == "monte_carlo":
+    elif mode == "enumerate":
+        dir_values, f_values = _wilson_terms(
+            enumerate_configurations(n, r, limit=max_states), phi, shares
+        )
+    elif mode == "monte_carlo":
         if seed is None:
             raise ValueError("monte_carlo mode needs a seed")
         if samples < 2:
             raise ValueError("monte_carlo mode needs at least two samples")
         rng = make_generator(seed)
-        per_vertex = _vertex_dirichlet_terms(graph, phi)
-        dir_samples = np.empty(samples)
-        f_samples = np.empty(samples)
+        dir_values = np.empty(samples)
+        f_values = np.empty(samples)
         for i in range(samples):
             occ = np.array(random_configuration(n, r, rng))
-            dir_samples[i] = float(per_vertex[occ > 0].sum())
-            f_samples[i] = float(np.dot(phi, occ))
-        dirichlet = float(dir_samples.mean())
-        variance = float(f_samples.var(ddof=1))
-        if variance <= 1e-300:
-            raise ValueError("zero-variance test function")
-        quotient = dirichlet / variance
-        se_d = float(dir_samples.std(ddof=1)) / math.sqrt(samples)
-        centered = f_samples - f_samples.mean()
-        se_v = float((centered**2).std(ddof=1)) / math.sqrt(samples)
-        stderr = quotient * math.sqrt(
-            (se_d / dirichlet) ** 2 + (se_v / variance) ** 2
-        )
-        return WilsonBound(
-            variant, mode, quotient, dirichlet, variance, stderr=stderr, samples=samples
-        )
-
-    raise ValueError(f"unknown mode {mode!r}")
+            dir_values[i], f_values[i] = _wilson_terms(occ, phi, shares)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode != "closed_form":
+        dirichlet = float(dir_values.mean())
+        variance = float(f_values.var(ddof=1 if mode == "monte_carlo" else 0))
+    if variance <= 1e-300:
+        raise ValueError("zero-variance test function")
+    quotient = dirichlet / variance
+    if mode != "monte_carlo":
+        return WilsonBound(variant, mode, quotient, dirichlet, variance)
+    se_d = float(dir_values.std(ddof=1)) / math.sqrt(samples)
+    centered = f_values - f_values.mean()
+    se_v = float((centered**2).std(ddof=1)) / math.sqrt(samples)
+    stderr = quotient * math.sqrt((se_d / dirichlet) ** 2 + (se_v / variance) ** 2)
+    return WilsonBound(
+        variant, mode, quotient, dirichlet, variance, stderr=stderr, samples=samples
+    )

@@ -205,6 +205,17 @@ def test_allocation_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "capacity error: MemoryError\n"
 
 
+@pytest.mark.parametrize("command", ["flow", "certificate"])
+def test_edge_load_limit_exit_code(command, tmp_path, capsys):
+    # Torus(3,14), 2,744 vertices: its all-pairs BFS alone would take seconds
+    started = time.perf_counter()
+    code, out = run_cli([command, "--d", "3", "--L", "14"], tmp_path, "loads")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert "exceed the edge-load limit 2500" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_overflow_exit_code(tmp_path, capsys):
     code, out = run_cli(
         ["tails", "--kind", "skellam", "--lam", "1", "--m", str(10**20)],
@@ -338,7 +349,7 @@ README_OUTPUTS = {
         "tv_curve.json": "a17cc21b4aeb24f50c9a2006ccac58659b1c9edbad88ad269dc26d4e76933d99",
     },
     "wilson --d 1 --L 5 --r 5": {
-        "wilson.json": "b1fb6a38c26a8040e7dcaee99fdb97c9440125d8ef548986cc73a290aa0a74a6",
+        "wilson.json": "b442e8668483894b087e3d56a1986991e9beaab0d8893b4a2a15d9ef57141bd9",
     },
     "flow --d 1 --L 4": {
         "flow.csv": "29448b49d43389d9fc0624aa244654cca664b9f970e225bbdd3808bfdd24b046",
@@ -787,6 +798,7 @@ SCIPY_LOADS = {
     "tails --kind skellam": ["scipy.special"],
     "flow --d 1 --L 4": [],
     "zeta-balance --n 4 --j 1": [],
+    "wilson --d 1 --L 5 --r 5": [],
 }
 
 
@@ -832,7 +844,7 @@ def test_pinned_outputs_do_not_depend_on_blas_threads(tmp_path):
     # the README's float outputs and the tv_curve law of the spectral
     # workload read the same bytes under one BLAS thread and the default
     commands = [command for command in README_OUTPUTS
-                if command.startswith(("tv-curve", "sweep"))]
+                if command.startswith(("tv-curve", "sweep", "wilson"))]
     laws = []
     for threads in ("1", None):
         digests, law = fresh_interpreter(

@@ -483,15 +483,44 @@ def test_wilson_upper_bounds_gap():
             assert bound.quotient >= gap - 1e-10
 
 
-def test_wilson_modes_agree():
+WILSON_CASES = [
+    (Torus(1, 5), 4),
+    (Torus(1, 2), 3),
+    (Torus(2, 2), 3),
+    (Torus(3, 2), 2),
+    (Torus(2, 3), 3),
+    (Torus(1, 8), 6),
+]
+
+
+@pytest.mark.parametrize("graph,r", WILSON_CASES, ids=[f"{g}-r{r}" for g, r in WILSON_CASES])
+def test_wilson_modes_agree(graph, r):
+    # enumerate and closed_form against the Rayleigh quotient on the
+    # assembled generator; on an L = 2 torus a repeated neighbour is two
+    # share terms but one summed generator entry
+    gen = build_generator(graph, r)
     for variant in ("half_wave", "full_wave"):
-        exact = wilson_bound(Torus(1, 5), 4, variant, mode="enumerate")
-        closed = wilson_bound(Torus(1, 5), 4, variant, mode="closed_form")
-        assert closed.quotient == pytest.approx(exact.quotient, rel=1e-12)
-        sampled = wilson_bound(
-            Torus(1, 5), 4, variant, mode="monte_carlo", samples=30_000, seed=17
-        )
+        reference = rayleigh_quotient(gen, wilson_test_function(graph, variant))
+        exact = wilson_bound(graph, r, variant, mode="enumerate")
+        closed = wilson_bound(graph, r, variant, mode="closed_form")
+        assert exact.quotient == pytest.approx(reference, rel=1e-12)
+        assert closed.quotient == pytest.approx(reference, rel=1e-12)
+        sampled = wilson_bound(graph, r, variant, mode="monte_carlo", samples=30_000, seed=17)
         assert abs(sampled.quotient - exact.quotient) < 5 * sampled.stderr
+
+
+def test_wilson_enumeration_memory_is_bounded():
+    # the (N, n) occupancy table (3.2 MB here) and its row-wise sums; a
+    # quotient taken through the assembled generator peaks at 16.1 MB
+    graph, r = Torus(1, 8), 12
+    table = spectral.configuration_count(graph.vertex_count, r) * graph.vertex_count * 8
+    tracemalloc.start()
+    try:
+        wilson_bound(graph, r, mode="enumerate")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * table
 
 
 def test_wilson_closed_form_scales_to_large_spaces():
