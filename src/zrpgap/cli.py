@@ -263,7 +263,7 @@ def _cmd_couple(args):
 
 
 def _cmd_zeta_balance(args):
-    chain = build_tagged_pair_chain(args.n, args.j, max_states=args.max_states)
+    chain = build_tagged_pair_chain(args.n, args.j)
     residuals = balance_residuals(chain)
     worst = max((abs(x) for x in residuals), default=Fraction(0))
     payload = {
@@ -502,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_couple)
 
     p = sub.add_parser("zeta-balance", help="exact balance residuals of the tagged chain")
-    add_common(p, max_states=True)
+    add_common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, required=True, help="high-priority particle count")
     p.add_argument("--dump-chain", dest="dump_chain", action="store_true")

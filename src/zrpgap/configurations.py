@@ -168,8 +168,8 @@ def random_configuration(n: int, r: int, rng: np.random.Generator) -> tuple[int,
     if total <= 2**63 - 1:
         return unrank_configuration(int(rng.integers(total)), n, r)
     slots = n + r - 1
-    bars = np.sort(rng.choice(slots, size=n - 1, replace=False))
-    return tuple((np.diff(bars, prepend=-1, append=slots) - 1).tolist())
+    bars = np.sort(rng.choice(slots, size=n - 1, replace=False)).tolist()
+    return tuple(b - a - 1 for a, b in zip([-1] + bars, bars + [slots]))
 
 
 def transitions(graph: GraphSpec, occ) -> list[tuple[tuple[int, ...], float]]:

@@ -11,12 +11,15 @@ L^d - 1 and length is the longest flow-carrying path, bounded by the
 diameter <= dL.  All loads are exact rationals: the flow share of a
 directed edge (a, b) for the pair (u, v) is N(u,a) N(b,v) / N(u,v) in
 shortest-path counts, so no path enumeration is needed for the loads
-themselves.  Summed over targets v, these shares obey a per-source backward
-recursion over the shortest-path DAG of u (Brandes, J. Math. Sociol. 25,
-2001), so each source costs one BFS plus one pass over the edges, all in
-integer numerators over a common denominator.  The configuration-level
-check below *does* enumerate paths, as an independent route to the same
-numbers.
+themselves.  Summed over targets v, these shares obey a backward recursion
+over the shortest-path DAG of u (Brandes, J. Math. Sociol. 25, 2001).  The
+torus is the Cayley graph of (Z/L)^d, so the shares from source u are those
+from source 0 translated by u: the load of every edge a -> a + delta sums
+source 0's shares over all edges x -> x + delta.  One BFS and one backward
+pass give every load, and each directed edge (each parallel copy when
+L = 2) carries L^(d-1) floor(L^2/4) / 2.  The configuration-level check
+below *does* enumerate paths from every source, as an independent route to
+the same numbers.
 """
 
 from __future__ import annotations
@@ -25,19 +28,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import graphs
 from .configurations import configuration_count, enumerate_configurations, move_kernel
 from .errors import CapacityError
 from .graphs import Torus, all_pairs_bfs
 
-# Most torus vertices :func:`edge_loads` admits.  Its all-pairs tables hold
-# n**2 Python ints, and its time grows like n**2 times the degree.  Measured
-# on one thread of a 2-core x86 machine (Python 3.11), in seconds and peak
-# RSS: Torus(2,30), 900 vertices, 1.0 s and 70 MB; Torus(4,6), 1,296, 4.0 s;
-# Torus(3,12), 1,728, 5.4 s; Torus(2,44), 1,936, 5.0 s; Torus(3,13), 2,197,
-# 9.5-12 s and 258 MB; Torus(4,7), 2,401, 15-16 s; Torus(2,50), 2,500,
-# 13-14 s and about 360 MB, the largest admitted.  At degree 14 and more it is
-# slower: Torus(11,2), 2,048, and Torus(7,3), 2,187, take 16-19 s.
-EDGE_LOADS_MAX_VERTICES = 2_500
+# Most directed torus edges :func:`edge_loads` admits.  Its time and memory
+# grow like n times the degree: on one thread of a 2-core x86 machine
+# (Python 3.11), Torus(3,40), 384,000 edges, takes 0.9 s and 116 MB, and
+# Torus(15,2), 491,520 edges at degree 30, 2.4 s and 132 MB.
+EDGE_LOADS_MAX_EDGES = 500_000
 
 
 def _directed_edges(graph):
@@ -48,7 +48,6 @@ def _directed_edges(graph):
 class EdgeLoadReport:
     graph: Torus
     directed: dict
-    undirected: dict
     max_directed: Fraction
     max_undirected: Fraction
     uniform: bool
@@ -79,66 +78,64 @@ def edge_loads(graph: Torus) -> EdgeLoadReport:
 
     For each directed edge the load sums, over ordered vertex pairs (u, v),
     the fraction of shortest u->v paths passing through it.  The undirected
-    load adds both directions; by vertex-transitivity every undirected edge
-    carries the same load, which is also verified here.  A torus of more
-    than ``EDGE_LOADS_MAX_VERTICES`` vertices is refused as a CapacityError
-    before the BFS.
+    load adds both directions, and every axis and sign is checked to carry
+    the same one.  A torus of more than ``EDGE_LOADS_MAX_EDGES`` directed
+    edges is refused as a CapacityError before the BFS.
     """
     if not isinstance(graph, Torus):
         raise ValueError("edge loads are defined for the torus family")
-    if graph.vertex_count > EDGE_LOADS_MAX_VERTICES:
+    # distinct neighbors per vertex: on L = 2 the +1 and -1 steps coincide
+    edges = graph.vertex_count * (graph.d if graph.degenerate else 2 * graph.d)
+    if edges > EDGE_LOADS_MAX_EDGES:
         raise CapacityError(
-            f"{graph.vertex_count} torus vertices exceed the edge-load limit "
-            f"{EDGE_LOADS_MAX_VERTICES}"
+            f"{edges} directed torus edges exceed the edge-load limit "
+            f"{EDGE_LOADS_MAX_EDGES}"
         )
-    return _edge_loads(graph, *all_pairs_bfs(graph))
+    return _edge_loads(graph, *graphs.bfs_distance_counts(graph, 0))
 
 
-def _edge_loads(graph: Torus, dists, counts) -> EdgeLoadReport:
-    """:func:`edge_loads` from an all-pairs BFS already run.
+def _edge_loads(graph: Torus, dist, count) -> EdgeLoadReport:
+    """:func:`edge_loads` from the BFS distances and path counts of vertex 0.
 
-    With M the lcm of all path counts, the source u contributes
-    N(u,a) * D_u(b) / M to edge (a, b) when b is one step further from u
-    than a, where D_u(b) = M * sum_v N(b,v) / N(u,v) over the v reached from
-    u through b, and D_u(b) = M / N(u,b) + sum of D_u(c) over the
-    neighbors c one step further out (repeats included, so parallel edges
-    of an L = 2 torus count once each).  Every directed edge is summed on
-    its own, so the uniformity check below stays a real check.
+    With M the lcm of the path counts, source 0 contributes
+    N(0,a) * D(b) / M to edge (a, b) when b is one step further out than a,
+    where D(b) = M * sum_v N(b,v) / N(0,v) over the v reached through b, and
+    D(b) = M / N(0,b) + sum of D(c) over the neighbors c one step further
+    out (repeats included, so parallel edges of an L = 2 torus count once
+    each).  Neighbor slot j of every vertex x is x + delta_j, so translating
+    by u carries these shares onto source u's: the load of a -> a + delta_j
+    is source 0's share summed over all edges x -> x + delta_j.
     """
     n = graph.vertex_count
     neighbors = graph.neighbor_table
-    edges = _directed_edges(graph)
-    common = math.lcm(*(c for row in counts for c in row))
-    numerators = [0] * len(edges)
+    common = math.lcm(*count)
+    slots = [0] * len(neighbors[0])
     below = [0] * n
-    for du, cu in zip(dists, counts):
-        # the source's own entry is never read: no edge leads into it
-        for b in sorted(range(n), key=du.__getitem__, reverse=True):
-            step = du[b] + 1
-            acc = common // cu[b]
-            for c in neighbors[b]:
-                if du[c] == step:
-                    acc += below[c]
-            below[b] = acc
-        for k, (a, b) in enumerate(edges):
-            if du[b] == du[a] + 1:
-                numerators[k] += cu[a] * below[b]
-    directed = {edge: Fraction(num, common) for edge, num in zip(edges, numerators)}
-    undirected = {}
-    for (a, b), load in directed.items():
-        if a < b:
-            undirected[(a, b)] = load + directed[(b, a)]
-    values = list(undirected.values())
-    uniform = all(v == values[0] for v in values)
+    # the source's own entry is never read: no edge leads into it
+    for b in sorted(range(n), key=dist.__getitem__, reverse=True):
+        step = dist[b] + 1
+        cb = count[b]
+        acc = common // cb
+        for j, c in enumerate(neighbors[b]):
+            if dist[c] == step:
+                acc += below[c]
+                slots[j] += cb * below[c]
+        below[b] = acc
+    per_slot = [Fraction(num, common) for num in slots]
+    directed = {
+        (a, b): per_slot[row.index(b)] for a, row in enumerate(neighbors) for b in set(row)
+    }
+    # slot j ^ 1 steps back along slot j's axis, so each sum is the
+    # undirected load of one axis
+    undirected = [load + per_slot[j ^ 1] for j, load in enumerate(per_slot)]
     return EdgeLoadReport(
         graph=graph,
         directed=directed,
-        undirected=undirected,
-        max_directed=max(directed.values()),
-        max_undirected=max(values),
-        uniform=uniform,
+        max_directed=max(per_slot),
+        max_undirected=max(undirected),
+        uniform=all(v == undirected[0] for v in undirected),
         bound=graph.L * (n - 1),
-        max_distance=max(max(row) for row in dists),
+        max_distance=max(dist),
     )
 
 
@@ -290,7 +287,7 @@ def induced_flow_check(graph: Torus, r: int) -> InducedFlowCheck:
                 edge = (lifted[a], lifted[b])
                 flows[edge] = flows.get(edge, 0) + share
 
-    loads = _edge_loads(graph, dists, counts)
+    loads = _edge_loads(graph, dists[0], counts[0])
     targets = {edge: load * common for edge, load in loads.directed.items()}
     configs = occ.tolist()
     per_edge_equal = True

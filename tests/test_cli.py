@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from zrpgap import cli, spectral
+from zrpgap import cli, graphs, spectral
 from zrpgap.cli import main
 from zrpgap.errors import SolverConvergenceError
 
@@ -206,14 +206,25 @@ def test_allocation_failure_exit_code(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["flow", "certificate"])
-def test_edge_load_limit_exit_code(command, tmp_path, capsys):
-    # Torus(3,14), 2,744 vertices: its all-pairs BFS alone would take seconds
-    started = time.perf_counter()
-    code, out = run_cli([command, "--d", "3", "--L", "14"], tmp_path, "loads")
-    assert time.perf_counter() - started < 1.0
+def test_edge_load_limit_exit_code(command, tmp_path, capsys, monkeypatch):
+    # Torus(4,20), 1,280,000 directed edges: refused before its BFS
+    def no_bfs(*args):
+        raise AssertionError("BFS run before the edge-load limit")
+
+    monkeypatch.setattr(graphs, "bfs_distance_counts", no_bfs)
+    code, out = run_cli([command, "--d", "4", "--L", "20"], tmp_path, "loads")
     assert code == 2
-    assert "exceed the edge-load limit 2500" in capsys.readouterr().err
+    assert "exceed the edge-load limit 500000" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_flow_above_the_old_vertex_limit(tmp_path):
+    # Torus(2,60): 3,600 vertices, 14,400 directed edges
+    code, out = run_cli(["flow", "--d", "2", "--L", "60"], tmp_path, "flow")
+    assert code == 0
+    loads = read_json(out / "flow.json")["edge_loads"]
+    assert loads["all_edges_equal"]
+    assert loads["max_undirected_load"]["num"] == 60 * 900
 
 
 def test_overflow_exit_code(tmp_path, capsys):
@@ -261,6 +272,7 @@ def test_max_states_must_be_positive(limit, tmp_path, capsys):
         "drift --n 4 --j 1 --replicas 10 --seed 1",
         "occupancy --n 4 --r 4 --horizon 10 --seed 1",
         "tails --kind skellam --lam 1",
+        "zeta-balance --n 4 --j 1",
     ],
 )
 def test_max_states_rejected_where_no_handler_reads_it(args, tmp_path):
@@ -515,6 +527,14 @@ def test_zeta_balance_subcommand(tmp_path, capsys):
     assert payload["states"] == 19
     chain = read_json(out / "zeta_chain.json")
     assert len(chain["states"]) == 19
+
+
+def test_zeta_balance_chain_limit(tmp_path, capsys):
+    # (25, 2): 195,001 tagged states, above the fixed 20,000-state limit
+    code, out = run_cli(["zeta-balance", "--n", "25", "--j", "2"], tmp_path, "zb")
+    assert code == 2
+    assert "capacity error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_zeta_chain_dump_is_pinned(tmp_path):

@@ -215,3 +215,17 @@ def test_random_configuration_edge_cases():
     rng = make_generator(1)
     assert random_configuration(4, 0, rng) == (0, 0, 0, 0)
     assert random_configuration(1, 7, rng) == (7,)
+
+
+def test_random_configuration_gaps_above_int64():
+    # C(71, 36) > 2**63 configurations: the draw takes the stars-and-bars
+    # branch, and its gaps match np.diff over the sorted bars
+    n = r = 36
+    slots = n + r - 1
+    assert configuration_count(n, r) > 2**63
+    rng, reference = make_generator(5), make_generator(5)
+    for _ in range(5):
+        bars = np.sort(reference.choice(slots, size=n - 1, replace=False))
+        expected = tuple((np.diff(bars, prepend=-1, append=slots) - 1).tolist())
+        occ = random_configuration(n, r, rng)
+        assert occ == expected and sum(occ) == r

@@ -206,6 +206,41 @@ def test_directed_loads_are_pinned(d, L, load):
     assert edge_loads(graph).directed == {edge: Fraction(load) for edge in edges}
 
 
+def test_every_edge_load_has_the_closed_form():
+    # every directed edge carries L^(d-1) floor(L^2/4) / 2 (per parallel copy
+    # on L = 2), and the diameter is d floor(L/2)
+    for d in range(1, 6):
+        for L in range(2, 12):
+            if L**d > 5_000:
+                break
+            report = edge_loads(Torus(d, L))
+            load = Fraction(L ** (d - 1) * (L * L // 4), 2)
+            assert set(report.directed.values()) == {load}, (d, L)
+            assert report.max_distance == d * (L // 2), (d, L)
+            assert report.uniform and report.max_undirected == 2 * load
+
+
+def test_edge_loads_run_one_bfs(bfs_sources):
+    for graph in (Torus(2, 5), Torus(3, 2)):
+        bfs_sources.clear()
+        edge_loads(graph)
+        assert bfs_sources == [0]
+
+
+def test_edge_load_limit_counts_directed_edges(monkeypatch):
+    def no_bfs(*args):
+        raise AssertionError("BFS run before the edge-load limit")
+
+    monkeypatch.setattr(graphs, "bfs_distance_counts", no_bfs)
+    monkeypatch.setattr(flow, "EDGE_LOADS_MAX_EDGES", 24)
+    # Torus(3, 2): 8 vertices with 3 distinct neighbors each, at the limit
+    with pytest.raises(AssertionError, match="BFS run"):
+        edge_loads(Torus(3, 2))
+    for graph, edges in ((Torus(1, 13), 26), (Torus(4, 2), 64)):
+        with pytest.raises(CapacityError, match=f"^{edges} directed torus edges"):
+            edge_loads(graph)
+
+
 def test_neighbor_lists_are_built_once_per_graph(monkeypatch):
     calls = []
     neighbors = Torus.neighbors
@@ -216,7 +251,7 @@ def test_neighbor_lists_are_built_once_per_graph(monkeypatch):
 
     monkeypatch.setattr(Torus, "neighbors", counted)
     graph = Torus(2, 4)
-    loads = flow._edge_loads(graph, *all_pairs_bfs(graph))
+    loads = flow._edge_loads(graph, *bfs_distance_counts(graph, 0))
     assert loads.uniform
     assert sorted(calls) == list(range(graph.vertex_count))
     flow.edge_loads(graph)
