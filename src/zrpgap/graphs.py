@@ -71,15 +71,18 @@ class Torus(_NeighborTable):
         return v
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        """Neighbor list with one entry per axis direction (repeats if L = 2)."""
-        c = list(self.coords(v))
+        """Neighbor list with one entry per axis direction (repeats if L = 2):
+        +1 then -1 along each axis, by the flat-index stride L**axis."""
+        L = self.L
+        if not 0 <= v < self.vertex_count:
+            raise ValueError(f"vertex {v} out of range")
         out = []
-        for axis in range(self.d):
-            orig = c[axis]
-            for step in (1, -1):
-                c[axis] = (orig + step) % self.L
-                out.append(self.vertex(c))
-            c[axis] = orig
+        stride = 1
+        for _ in range(self.d):
+            c = v // stride % L
+            out.append(v + stride if c < L - 1 else v - c * stride)
+            out.append(v - stride if c > 0 else v + (L - 1) * stride)
+            stride *= L
         return tuple(out)
 
     def as_json(self) -> dict:

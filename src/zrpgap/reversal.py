@@ -486,6 +486,12 @@ class ReversedRun:
         return self.y_final - self.y_start
 
 
+# numpy's random() is (word >> 11) * 2**-53; integers() draws 32-bit halves
+_ULP = 2.0**-53
+_HALF = 1 << 32
+_LOW = _HALF - 1
+
+
 def _sample_start(chain: TaggedPairChain, rng) -> int:
     """A state index drawn from pi with one uniform draw."""
     cum = chain._pi_cumulative
@@ -511,10 +517,21 @@ def simulate_reversed_hitting(
     evaluated at min(t_ref, hitting time)).  Horizon censoring is flagged,
     never silently dropped.  ``check_identity`` re-derives the potential as
     ladder(max) + jump account after every event and fails hard on any
-    mismatch.  The run draws from ``rng`` when given, else from
-    ``make_generator(seed)``: per event an exponential holding time, a
-    uniform for the target w by attempt weight, ``integers(n - 1)`` for the
-    source v != w and, when v is occupied, a uniform for high or tag.
+    mismatch.
+
+    The run draws from ``rng`` when given, else from ``make_generator(seed)``,
+    exactly what these numpy calls would return: per event
+    ``standard_exponential()`` for the holding time, ``random()`` for the
+    target w by attempt weight, ``integers(n - 1)`` for the source v != w
+    and, when v is occupied, ``random()`` for high or tag.  Only the
+    exponential is a numpy call.  The rest is decoded from
+    ``bit_generator.random_raw()`` words: ``random()`` is
+    ``(word >> 11) * 2**-53``, and ``integers(k)`` is Lemire's method on
+    32-bit halves of words, low half first, the high half carried to the
+    next draw as PCG64 carries it.  ``integers(1)`` is 0 and draws nothing,
+    so at n = 2 the source costs no draw.  The run keeps that carry itself
+    and starts with none, so ``rng`` must be fresh (as ``make_generator``
+    and ``replica_generators`` hand it over), and the run consumes it.
     """
     if chain.kind != "forward":
         raise ValueError("pass the forward chain; the reversal is built internally")
@@ -525,6 +542,11 @@ def simulate_reversed_hitting(
     if state == MERGED:
         return ReversedRun(seed, True, 0.0, False, 0.0, 0.0, 0, 0, 0)
 
+    raw = rng.bit_generator.random_raw
+    exponential = rng.standard_exponential
+    sources = n - 1  # v is drawn by integers(n - 1), then shifted past w
+    reject = _HALF % sources  # Lemire rejects a half h iff h * sources % 2**32 < reject
+    carry = -1  # the unused high half of the last source word, -1 if none
     eta = list(state[0])
     s, t = state[1], state[2]
     high = list(eta)
@@ -542,14 +564,27 @@ def simulate_reversed_hitting(
     stop = min(horizon, t_ref) if t_ref is not None else horizon
 
     while eta[s] != eta[t]:
-        dt = rng.standard_exponential() / total
+        dt = exponential() / total
         if clock + dt >= stop:
             clock = stop
             break
         clock += dt
         events += 1
-        w = min(bisect.bisect_right(cumulative, rng.random() * total), n - 1)
-        v = int(rng.integers(n - 1))
+        w = bisect.bisect_right(cumulative, (raw() >> 11) * _ULP * total)
+        if w == n:  # u * total above the running sums' last entry
+            w = n - 1
+        v = 0
+        if sources > 1:
+            while True:
+                if carry < 0:
+                    word = raw()
+                    half, carry = word & _LOW, word >> 32
+                else:
+                    half, carry = carry, -1
+                scaled = half * sources
+                if scaled & _LOW >= reject:
+                    break
+            v = scaled >> 32
         if v >= w:
             v += 1
         if eta[v] == 0:
@@ -557,7 +592,7 @@ def simulate_reversed_hitting(
             if w == (s if eta[s] > eta[t] else t):
                 boosts += 1
             continue
-        if rng.random() < high[v] / eta[v]:
+        if (raw() >> 11) * _ULP < high[v] / eta[v]:
             # a high particle moves unconditionally
             high[v] -= 1
             high[w] += 1
@@ -575,11 +610,14 @@ def simulate_reversed_hitting(
         weights[w] = (eta[w] + 1) / (high[w] + 1)
         total = math.fsum(weights)
         cumulative = list(itertools.accumulate(weights))
-        new_max = max(eta[s], eta[t])
+        es, et = eta[s], eta[t]
+        new_max = es if es > et else et
         if new_max > max_occ:
             if new_max != max_occ + 1:
                 raise RuntimeError("tagged maximum jumped up by more than one")
             potential += params.rung(new_max)
+            if new_max > m_seen:
+                m_seen = new_max
         elif new_max < max_occ:
             # downward jump: ladder gains back rungs new_max+1..max_occ but the
             # skipped rungs below the top are charged to the jump account
@@ -587,7 +625,6 @@ def simulate_reversed_hitting(
                 jumps += params.rung(k)
             potential -= params.rung(max_occ)
         max_occ = new_max
-        m_seen = max(m_seen, new_max)
         if check_identity and abs(potential - (params.ladder(max_occ) + jumps)) > 1e-9:
             raise RuntimeError("drift bookkeeping broken: potential != ladder(max) + jumps")
 

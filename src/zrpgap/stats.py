@@ -593,17 +593,26 @@ class TailFit:
         }
 
 
-def _survival_slope(values, n_censored, q_low, q_high):
-    values = np.sort(values)
-    m = values.size
-    total = m + n_censored
-    lo, hi = (float(q) for q in np.quantile(values, [q_low, q_high]))
+def _survival_windows(samples, n_censored, q_low, q_high):
+    """Per row of ``samples``: the [q_low, q_high] sample-quantile window
+    ``(lo, hi)`` and the sorted times inside it with their log-survival."""
+    rows = np.sort(samples, axis=1)
+    m = rows.shape[1]
+    lows, highs = np.quantile(rows, [q_low, q_high], axis=1)
     # survival just above each sorted point; censored samples (all at the
     # horizon, beyond any fit point) count as "still running"
-    surv = (m - 1 - np.arange(m) + n_censored) / total
-    mask = (values >= lo) & (values <= hi) & (surv > 0)
-    ts = values[mask]
-    ys = np.log(surv[mask])
+    surv = (m - 1 - np.arange(m) + n_censored) / (m + n_censored)
+    positive = surv > 0
+    log_surv = np.zeros(m)
+    log_surv[positive] = np.log(surv[positive])
+    inside = (rows >= lows[:, None]) & (rows <= highs[:, None]) & positive
+    for row, keep, lo, hi in zip(rows, inside, lows.tolist(), highs.tolist()):
+        yield lo, hi, row[keep], log_surv[keep]
+
+
+def _survival_slope(ts, ys):
+    """Least-squares decay rate of log-survival ``ys`` at times ``ts``, and
+    the fraction of variance the line explains."""
     if ts.size < 10 or ts.max() <= ts.min():
         raise ValueError("fit window too narrow; need more samples")
     slope, intercept = np.polyfit(ts, ys, 1)
@@ -611,7 +620,11 @@ def _survival_slope(values, n_censored, q_low, q_high):
     ss_res = float(np.sum((ys - fitted) ** 2))
     ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return -slope, r2, lo, hi
+    return -slope, r2
+
+
+# bootstrap indices drawn per block: at most 2**15 of them at a time
+_BOOTSTRAP_BLOCK = 1 << 15
 
 
 def fit_exponential_tail(
@@ -635,19 +648,22 @@ def fit_exponential_tail(
     if values.ndim != 1 or values.size == 0:
         raise ValueError("samples must be a non-empty 1-d array")
     q_low, q_high = window
-    gamma, r2, lo, hi = _survival_slope(values, n_censored, q_low, q_high)
+    ((lo, hi, ts, ys),) = _survival_windows(values[None, :], n_censored, q_low, q_high)
+    gamma, r2 = _survival_slope(ts, ys)
 
     gammas = []
     if bootstrap > 0:
         rng = make_generator(derive_seed(seed, 0xB0075))
         m = values.size
-        for _ in range(bootstrap):
-            resample = values[rng.integers(0, m, m)]
-            try:
-                g, _, _, _ = _survival_slope(resample, n_censored, q_low, q_high)
-            except ValueError:
-                continue
-            gammas.append(g)
+        # one draw of (rows, m) indices equals `rows` draws of m in turn
+        per_block = max(1, _BOOTSTRAP_BLOCK // m)
+        for done in range(0, bootstrap, per_block):
+            picks = rng.integers(0, m, (min(per_block, bootstrap - done), m))
+            for _, _, ts, ys in _survival_windows(values[picks], n_censored, q_low, q_high):
+                try:
+                    gammas.append(_survival_slope(ts, ys)[0])
+                except ValueError:
+                    continue
     if gammas:
         ci_low, ci_high = np.quantile(gammas, [0.025, 0.975])
     else:

@@ -33,6 +33,23 @@ def test_torus_degenerate_side_two():
     assert g.degree == 2
 
 
+@pytest.mark.parametrize("d,L", [(d, L) for d in range(1, 5) for L in range(2, 8)])
+def test_torus_neighbors_match_coordinate_steps(d, L):
+    # reference: step each coordinate by +1 then -1 and re-encode the tuple
+    g = Torus(d, L)
+    for v in range(g.vertex_count):
+        c = list(g.coords(v))
+        expected = []
+        for axis in range(d):
+            for step in (1, -1):
+                moved = c.copy()
+                moved[axis] += step
+                expected.append(g.vertex(moved))
+        assert g.neighbors(v) == tuple(expected)
+    with pytest.raises(ValueError):
+        g.neighbors(g.vertex_count)
+
+
 def test_complete_structure():
     g = Complete(5)
     assert g.vertex_count == 5

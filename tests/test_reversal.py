@@ -743,6 +743,22 @@ PINNED_REVERSED_RUNS = {
         _identity_runs,
         "36c8614319d48abaef70c34dc68376f1410655a4f64f7d466646899c7cb6734c",
     ),
+    # n = 2, where the source draw integers(1) consumes no random word; with
+    # an odd particle count the tags never balance, so runs end at the
+    # horizon or t_ref unless they start merged
+    "censored-2-1": (
+        lambda: sample_hitting_times(2, 1, 500, 5, 2.0, WINDOW_CONSTANT),
+        "a56dcb5fbdc3673056273a36bdd8dfc9b8ec85f459bf47c6e8aa89bf8d4712ae",
+    ),
+    "drift-2-3": (
+        lambda: [drift_check(2, 3, 2000, 5, WINDOW_CONSTANT)],
+        "d3f3c63340b6f907cc48654731082d8f09645284f5ed33731607741fcd0e3fdc",
+    ),
+    # n = 3, the smallest source draw that takes a half word
+    "hitting-3-1": (
+        lambda: sample_hitting_times(3, 1, 2000, 5, 1e6, WINDOW_CONSTANT),
+        "ba6f439cb401f46947c6958bd85f1c2122f9f1d6638e8c1e9813e176355d6d09",
+    ),
 }
 
 

@@ -68,3 +68,60 @@ def test_samplers_seed_replicas_in_batches(monkeypatch):
     reversal.drift_check(4, 1, 40, 4, 0.6)
     stats.estimate_window_constant(grid=((4, 1), (8, 1)), replicas=20, seed=5)
     assert calls == []
+
+
+def _decode(rng, ops):
+    """Replay ``ops`` from the generator's raw 64-bit words.
+
+    ``random()`` is ``(word >> 11) * 2**-53``.  ``integers(k)`` is Lemire's
+    method on 32-bit halves, the low half of a word first and the high half
+    carried to the next draw; ``integers(1)`` is 0 and draws nothing.
+    ``standard_exponential()`` stays numpy's call: it reads whole words and
+    leaves the carry alone.  Returns the draws and the halves rejected.
+    """
+    raw = rng.bit_generator.random_raw
+    carry = None
+    draws, rejected = [], 0
+    for op, k in ops:
+        if op == "random":
+            draws.append((raw() >> 11) * 2.0**-53)
+        elif op == "exponential":
+            draws.append(rng.standard_exponential())
+        elif k == 1:
+            draws.append(0)
+        else:
+            while True:
+                if carry is None:
+                    word = raw()
+                    half, carry = word & 0xFFFFFFFF, word >> 32
+                else:
+                    half, carry = carry, None
+                scaled = half * k
+                if scaled % 2**32 >= 2**32 % k:
+                    break
+                rejected += 1
+            draws.append(scaled >> 32)
+    return draws, rejected
+
+
+@pytest.mark.parametrize("k", [*range(1, 10), 3 * 10**9])
+def test_raw_word_decode_matches_numpy_draws(k):
+    # reversed tagged-chain runs decode their uniforms and source draws this way
+    pick = make_generator(k)
+    ops = [(("random", "integers", "integers", "exponential")[i], k)
+           for i in pick.integers(0, 4, 3000).tolist()]
+    calls = {"random": lambda rng, k: rng.random(),
+             "integers": lambda rng, k: int(rng.integers(k)),
+             "exponential": lambda rng, k: rng.standard_exponential()}
+    reference = make_generator(derive_seed(11, k))
+    expected = [calls[op](reference, k) for op, k in ops]
+    draws, rejected = _decode(make_generator(derive_seed(11, k)), ops)
+    assert draws == expected
+    # 2**32 mod 3e9 rejects about 30% of halves; small k reject almost none
+    assert (rejected > 300) == (k == 3 * 10**9)
+
+
+def test_fresh_generators_carry_no_half_word():
+    fresh = [make_generator(seed) for seed in EDGE_SEEDS]
+    fresh += [rng for _, rng in replica_generators(7, range(4098))]
+    assert all(rng.bit_generator.state["has_uint32"] == 0 for rng in fresh)

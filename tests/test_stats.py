@@ -447,6 +447,36 @@ def test_fit_with_censoring():
     assert fit.n_censored > 0
 
 
+def _bootstrap_interval(values, n_censored, window, bootstrap, seed):
+    """The percentile interval with one resample drawn and fitted at a time."""
+    rng = make_generator(derive_seed(seed, 0xB0075))
+    m = values.size
+    surv = (m - 1 - np.arange(m) + n_censored) / (m + n_censored)
+    gammas = []
+    for _ in range(bootstrap):
+        resample = np.sort(values[rng.integers(0, m, m)])
+        lo, hi = np.quantile(resample, window)
+        mask = (resample >= lo) & (resample <= hi) & (surv > 0)
+        ts, ys = resample[mask], np.log(surv[mask])
+        if ts.size >= 10 and ts.max() > ts.min():
+            gammas.append(-np.polyfit(ts, ys, 1)[0])
+    return tuple(np.quantile(gammas, [0.025, 0.975]).tolist())
+
+
+@pytest.mark.parametrize("m,n_censored,window,bootstrap", [
+    (27, 0, (0.05, 0.99), 50),  # odd m: resamples start mid-word
+    (999, 0, (0.5, 0.99), 70),  # 32 resamples per block, the last block short
+    (2049, 5, (0.5, 0.95), 40),
+    (40_000, 0, (0.5, 0.99), 3),  # one resample per block
+])
+def test_bootstrap_blocks_match_one_resample_at_a_time(m, n_censored, window, bootstrap):
+    values = np.round(make_generator(m).exponential(1.0, m), 2)  # with ties
+    fit = fit_exponential_tail(values, n_censored=n_censored, window=window,
+                               bootstrap=bootstrap, seed=m)
+    assert (fit.ci_low, fit.ci_high) == _bootstrap_interval(
+        values, n_censored, window, bootstrap, m)
+
+
 def test_fit_input_validation():
     with pytest.raises(ValueError):
         fit_exponential_tail([])
