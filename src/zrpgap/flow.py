@@ -34,25 +34,26 @@ from .errors import CapacityError
 from .graphs import Torus, all_pairs_bfs
 
 # Most directed torus edges :func:`edge_loads` admits.  Its time and memory
-# grow like n times the degree: on one thread of a 2-core x86 machine
-# (Python 3.11), Torus(3,40), 384,000 edges, takes 0.9 s and 116 MB, and
-# Torus(15,2), 491,520 edges at degree 30, 2.4 s and 132 MB.
+# grow like n times the degree: in a fresh process on one thread of a 2-core
+# x86 machine (Python 3.11), Torus(3,40), 384,000 edges, takes 0.3 s and a
+# peak RSS of 63 MB, and Torus(15,2), 491,520 edges at degree 30, 0.35 s
+# and 79 MB, the neighbor table included.
 EDGE_LOADS_MAX_EDGES = 500_000
-
-
-def _directed_edges(graph):
-    return [(a, b) for a, row in enumerate(graph.neighbor_table) for b in set(row)]
 
 
 @dataclass(frozen=True)
 class EdgeLoadReport:
     graph: Torus
-    directed: dict
+    slots: tuple[Fraction, ...]  # slot j: the load of every a -> neighbor_table[a][j]
     max_directed: Fraction
     max_undirected: Fraction
     uniform: bool
     bound: int
     max_distance: int  # the graph diameter, from the same BFS
+
+    def load(self, a: int, b: int) -> Fraction:
+        """Load of the directed edge a -> b (of each parallel copy on L = 2)."""
+        return self.slots[self.graph.neighbor_table[a].index(b)]
 
     def as_dict(self) -> dict:
         return {
@@ -121,16 +122,13 @@ def _edge_loads(graph: Torus, dist, count) -> EdgeLoadReport:
                 acc += below[c]
                 slots[j] += cb * below[c]
         below[b] = acc
-    per_slot = [Fraction(num, common) for num in slots]
-    directed = {
-        (a, b): per_slot[row.index(b)] for a, row in enumerate(neighbors) for b in set(row)
-    }
+    per_slot = tuple(Fraction(num, common) for num in slots)
     # slot j ^ 1 steps back along slot j's axis, so each sum is the
     # undirected load of one axis
     undirected = [load + per_slot[j ^ 1] for j, load in enumerate(per_slot)]
     return EdgeLoadReport(
         graph=graph,
-        directed=directed,
+        slots=per_slot,
         max_directed=max(per_slot),
         max_undirected=max(undirected),
         uniform=all(v == undirected[0] for v in undirected),
@@ -175,6 +173,8 @@ def comparison_certificate(
         raise ValueError("tau2 must be a non-negative relaxation time")
     if loads is None:
         loads = edge_loads(graph)
+    elif loads.graph != graph:
+        raise ValueError("the edge loads belong to another graph")
     n = graph.vertex_count
     congestion = loads.max_undirected / (n - 1)
     length = loads.max_distance
@@ -239,18 +239,21 @@ def induced_flow_check(graph: Torus, r: int) -> InducedFlowCheck:
     u->v vertex path (zeta = eta with the moving particle removed), with the
     unit split evenly over paths.  The resulting per-configuration-edge flow
     must exactly equal the vertex-level directed edge load, for every edge.
-    On an L = 2 torus a vertex path stands for the product of its edge
-    multiplicities in parallel-edge paths, and its share on (a, b) is split
-    over the mult(a, b) parallel copies, as the per-copy vertex load is.
+    On an L = 2 torus every edge has two parallel copies: a vertex path of
+    k steps stands for 2**k parallel-edge paths, half of which pass through
+    each copy of a step, as the per-copy vertex load counts them.
 
     Flows are integer numerators over M, the lcm of the path counts
     N(u, v).  The configuration edge a step (a, b) is lifted to depends on
     zeta but not on the target v, so each source's paths are first collapsed
-    into one numerator per vertex edge.
+    into one numerator per vertex edge.  Configuration edges are kept apart
+    by the neighbor slot of their vertex edge and compared to its load.
 
     Instances with more than 2,000,000 routed (configuration, u, v) pairs or
     50,000 configurations are refused before any configuration is built.
     """
+    if not isinstance(graph, Torus):
+        raise ValueError("induced flows are defined for the torus family")
     if r < 1:
         raise ValueError("need at least one particle")
     n = graph.vertex_count
@@ -260,9 +263,10 @@ def induced_flow_check(graph: Torus, r: int) -> InducedFlowCheck:
     occ = enumerate_configurations(n, r, limit=50_000)
     dists, counts = all_pairs_bfs(graph)
     common = math.lcm(*(c for row in counts for c in row))
-    mult = {(a, b): graph.neighbor_table[a].count(b) for a, b in _directed_edges(graph)}
+    copies = 2 if graph.degenerate else 1
+    neighbors = graph.neighbor_table
 
-    routed = []  # per source u: (vertex edge, flow numerator summed over targets)
+    routed = []  # per source u: (slot, vertex edge, flow numerator summed over targets)
     for u in range(n):
         shares: dict[tuple[int, int], int] = {}
         for v in range(n):
@@ -270,39 +274,36 @@ def induced_flow_check(graph: Torus, r: int) -> InducedFlowCheck:
                 continue
             weight = common // counts[u][v]
             for path in all_shortest_paths(graph, u, v, dists):
-                steps = list(zip(path, path[1:]))
-                copies = math.prod(mult[e] for e in steps)
-                for e in steps:
-                    shares[e] = shares.get(e, 0) + weight * (copies // mult[e])
-        routed.append(list(shares.items()))
+                share = weight * copies ** (len(path) - 2)
+                for e in zip(path, path[1:]):
+                    shares[e] = shares.get(e, 0) + share
+        routed.append(
+            [(neighbors[a].index(b), a, b, share) for (a, b), share in shares.items()]
+        )
 
-    flows: dict[tuple[int, int], int] = {}
+    loads = _edge_loads(graph, dists[0], counts[0])
+    # integral: each slot's denominator divides the lcm of vertex 0's counts
+    targets = [int(load * common) for load in loads.slots]
+    flows: list[dict[tuple[int, int], int]] = [{} for _ in targets]
     # one row per configuration with u occupied; lifted[w] is the index of
     # zeta + chi_w, the configuration after the particle moves u -> w
     moves = move_kernel(occ)
     for u in range(n):
         _, ranks = moves(u, range(n))
         for lifted in ranks.T.tolist():
-            for (a, b), share in routed[u]:
+            for j, a, b, share in routed[u]:
                 edge = (lifted[a], lifted[b])
-                flows[edge] = flows.get(edge, 0) + share
+                flows[j][edge] = flows[j].get(edge, 0) + share
 
-    loads = _edge_loads(graph, dists[0], counts[0])
-    targets = {edge: load * common for edge, load in loads.directed.items()}
-    configs = occ.tolist()
-    per_edge_equal = True
-    for (i, k), flow in flows.items():
-        diff = [x - y for x, y in zip(configs[k], configs[i])]
-        a = diff.index(-1)
-        b = diff.index(1)
-        if flow != targets[(a, b)]:
-            per_edge_equal = False
-    max_flow = Fraction(max(flows.values()), common)
+    per_edge_equal = all(
+        flow == target for slot, target in zip(flows, targets) for flow in slot.values()
+    )
+    max_flow = Fraction(max(flow for slot in flows for flow in slot.values()), common)
 
     return InducedFlowCheck(
         graph=graph,
         r=r,
-        config_edges=len(flows),
+        config_edges=sum(map(len, flows)),
         max_config_flow=max_flow,
         predicted_flow=loads.max_directed,
         per_edge_equal=per_edge_equal,

@@ -425,15 +425,6 @@ def fit_decay_rate(curve: TVCurve, t_min: float, t_max: float) -> float:
 # Variational bounds
 # ---------------------------------------------------------------------------
 
-def evaluate_on_space(gen: Generator, f) -> np.ndarray:
-    if callable(f):
-        return np.array([float(f(c)) for c in gen.configurations])
-    values = np.asarray(f, dtype=float)
-    if values.shape != (gen.dimension,):
-        raise ValueError("test-function vector has the wrong length")
-    return values
-
-
 def _rayleigh_parts(gen: Generator, values: np.ndarray) -> tuple[float, float]:
     """Dirichlet form and variance of ``values`` under the uniform law."""
     centered = values - values.mean()
@@ -449,9 +440,16 @@ def rayleigh_quotient(gen: Generator, f) -> float:
 
     Equals (1/2) sum_{x != y} pi(x) q(x, y) (f(y) - f(x))^2 / Var(f); by the
     variational principle this is an upper bound on the spectral gap, with
-    equality at the second eigenvector.
+    equality at the second eigenvector.  ``f`` is a function of a
+    configuration or a vector of one value per state.
     """
-    dirichlet, variance = _rayleigh_parts(gen, evaluate_on_space(gen, f))
+    if callable(f):
+        values = np.array([float(f(c)) for c in gen.configurations])
+    else:
+        values = np.asarray(f, dtype=float)
+        if values.shape != (gen.dimension,):
+            raise ValueError("test-function vector has the wrong length")
+    dirichlet, variance = _rayleigh_parts(gen, values)
     return dirichlet / variance
 
 

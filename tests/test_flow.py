@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,16 @@ def reference_directed_loads(graph):
     return directed
 
 
+def report_directed_loads(report):
+    """The report's load of every directed edge, read through ``load(a, b)``
+    over each vertex's distinct neighbors."""
+    return {
+        (a, b): report.load(a, b)
+        for a, row in enumerate(report.graph.neighbor_table)
+        for b in set(row)
+    }
+
+
 @pytest.mark.parametrize(
     "d,L",
     [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3)],
@@ -50,7 +61,7 @@ def test_edge_loads_match_pairwise_formula(d, L):
     graph = Torus(d, L)
     expected = reference_directed_loads(graph)
     report = edge_loads(graph)
-    assert list(report.directed.items()) == list(expected.items())
+    assert list(report_directed_loads(report).items()) == list(expected.items())
     assert report.uniform
 
 
@@ -59,10 +70,38 @@ def test_edge_loads_need_torus():
         edge_loads(Complete(4))
 
 
+def test_edge_load_report_holds_one_load_per_slot():
+    graph = Torus(2, 3)
+    report = edge_loads(graph)
+    assert report.slots == (Fraction(3),) * 4
+    for a, row in enumerate(graph.neighbor_table):
+        for j, b in enumerate(row):
+            assert report.load(a, b) == report.slots[j]
+    with pytest.raises(ValueError):
+        report.load(0, 4)  # not a neighbor
+
+
+def test_edge_loads_hold_no_per_edge_container():
+    # 40,000 directed edges: a dict with one entry per edge peaks above 4 MB
+    # under tracemalloc, while the backward pass holds a few integers per
+    # vertex (the neighbor table and the BFS are built beforehand)
+    graph = Torus(2, 100)
+    graph.neighbor_table
+    dist, count = bfs_distance_counts(graph, 0)
+    tracemalloc.start()
+    try:
+        report = flow._edge_loads(graph, dist, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.uniform and report.max_directed == Fraction(100 * 2500, 2)
+    assert peak < 2_000_000, peak
+
+
 def test_directed_loads_symmetric():
     report = edge_loads(Torus(1, 5))
-    for (a, b), load in report.directed.items():
-        assert report.directed[(b, a)] == load
+    for (a, b), load in report_directed_loads(report).items():
+        assert report.load(b, a) == load
         assert 2 * load == report.max_undirected
 
 
@@ -128,6 +167,14 @@ def test_bound_factor_below_headline(d, L):
     assert cert.bound_factor <= cert.headline_factor
 
 
+def test_certificate_refuses_loads_of_another_graph():
+    graph = Torus(1, 4)
+    with pytest.raises(ValueError, match="another graph"):
+        comparison_certificate(graph, loads=edge_loads(Torus(2, 5)))
+    with_loads = comparison_certificate(graph, loads=edge_loads(Torus(1, 4)))
+    assert with_loads == comparison_certificate(graph)
+
+
 def test_certificate_without_tau2():
     cert = comparison_certificate(Torus(1, 5))
     assert cert.tau2 is None and cert.tau1_bound is None
@@ -170,6 +217,15 @@ def test_induced_flow_refuses_before_enumerating(monkeypatch):
         induced_flow_check(Torus(2, 4), 5)
 
 
+def test_induced_flow_needs_torus(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("configurations enumerated before the graph check")
+
+    monkeypatch.setattr(flow, "enumerate_configurations", refuse)
+    with pytest.raises(ValueError, match="defined for the torus family"):
+        induced_flow_check(Complete(4), 1)
+
+
 def test_all_shortest_paths_enumeration():
     ring, complete = Torus(1, 4), Complete(5)
     paths = all_shortest_paths(ring, 0, 2, all_pairs_bfs(ring)[0])
@@ -203,7 +259,9 @@ def test_directed_loads_are_pinned(d, L, load):
                 y = list(x)
                 y[axis] = (y[axis] + step) % L
                 edges.add((a, sum(c * L**k for k, c in enumerate(y))))
-    assert edge_loads(graph).directed == {edge: Fraction(load) for edge in edges}
+    assert report_directed_loads(edge_loads(graph)) == {
+        edge: Fraction(load) for edge in edges
+    }
 
 
 def test_every_edge_load_has_the_closed_form():
@@ -215,7 +273,7 @@ def test_every_edge_load_has_the_closed_form():
                 break
             report = edge_loads(Torus(d, L))
             load = Fraction(L ** (d - 1) * (L * L // 4), 2)
-            assert set(report.directed.values()) == {load}, (d, L)
+            assert set(report_directed_loads(report).values()) == {load}, (d, L)
             assert report.max_distance == d * (L // 2), (d, L)
             assert report.uniform and report.max_undirected == 2 * load
 
