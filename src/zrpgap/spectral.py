@@ -44,11 +44,15 @@ from .stats import (
 # states, 21 ms against 2.6 ms at 462).  The threshold stays where it was
 # set, so small spaces keep their method and their outputs.
 DENSE_THRESHOLD = 200
-# Matrix-vector products the iterative gap solve may take, over both of its
-# passes, before it fails as a SolverConvergenceError.  The count grows like
-# sqrt(c / gap): Complete(2) r=5,000 takes 10,000 and Complete(3) r=630 about
-# 3,000.  An overrun is found in pass one, after half the cap.
+# The iterative gap solve fails as a SolverConvergenceError at the Lanczos
+# step where twice the steps so far pass this cap, so the cap stops pass one
+# at half its value (one matrix-vector product per step).  The step count
+# grows like sqrt(c / gap): Complete(2) r=5,000 takes 5,000 steps and
+# Complete(3) r=630 about 1,500.
 LANCZOS_MAX_MATVECS = 20_000
+# Bytes of Lanczos vectors the iterative gap solve keeps from pass one for
+# pass two (8 per state and vector; the start vector is always kept)
+LANCZOS_BASIS_BYTES = 16 * 2**20
 # The iterative solve stops once the Ritz residual estimate of its top pair
 # is at most LANCZOS_TOL times the shift c.  It checks every
 # LANCZOS_CHECK_EVERY steps or every tenth of the steps so far, whichever is
@@ -179,22 +183,22 @@ class SpectralReport:
         }
 
 
-def _lanczos(shifted, start):
-    """Yield ``(q_k, alpha_k, beta_k)``, k = 0, 1, ..., of the three-term
-    Lanczos recurrence of ``shifted`` from ``start``.
+def _lanczos(shifted, q, q_prev, beta):
+    """Yield ``(q_k, alpha_k, beta_k)``, k = j, j + 1, ..., of the three-term
+    Lanczos recurrence of ``shifted`` from its state at step j: the unit
+    vector ``q = q_j``, ``q_prev = q_{j-1}`` and ``beta = beta_{j-1}``
+    (zeros and 0.0 at j = 0).
 
     The constant vector is projected out of every product, so the
-    recurrence runs on its orthogonal complement.  There is no
-    reorthogonalization: that keeps the extreme Ritz pair accurate (Paige
-    1976) and memory at a few vectors.  Each step costs one sparse product
-    and in-place level-1 BLAS updates.
+    recurrence runs on its orthogonal complement if ``q`` does.  There is
+    no reorthogonalization: that keeps the extreme Ritz pair accurate
+    (Paige 1976) and the recurrence at a few vectors.  Each step costs one
+    sparse product and in-place level-1 BLAS updates.  The recurrence
+    never writes a vector it has yielded, and each ``q_k`` after the first
+    is a fresh array, so a caller may keep them.
     """
     from scipy.linalg.blas import daxpy, ddot, dnrm2, dscal
 
-    q = start - start.mean()
-    dscal(1.0 / dnrm2(q), q)
-    q_prev = np.zeros_like(q)
-    beta = 0.0
     while True:
         w = shifted @ q
         w -= w.mean()
@@ -210,27 +214,40 @@ def _top_eigenvector(gen: Generator) -> np.ndarray:
     """Unit eigenvector of the largest eigenvalue of ``Q + c I`` on the
     complement of the constant vector, ``c`` twice the largest exit rate.
 
-    Pass one keeps only the tridiagonal ``T_k`` and stops once the Ritz
+    Pass one builds the tridiagonal ``T_k`` and stops once the Ritz
     residual ``beta_k |y_k|`` of its top pair is small enough, or when the
-    basis spans the complement.  Pass two reruns the recurrence from the
-    same start to sum the Ritz vector, so no basis is stored.
+    basis spans the complement.  It keeps the Lanczos vectors while they
+    fit in ``LANCZOS_BASIS_BYTES`` (at least the start vector), and the
+    recurrence's state at the first vector it does not keep.  Pass two sums
+    the Ritz vector over the kept vectors and, if steps remain, over the
+    recurrence resumed from that state: k products for k steps when the
+    basis fits, 2k - K when only K vectors do, and the same floats either
+    way.
     """
     from scipy.linalg import eigh_tridiagonal
-    from scipy.linalg.blas import daxpy
+    from scipy.linalg.blas import daxpy, dnrm2, dscal
 
     dim = gen.dimension
     c = 2.0 * float(-gen.matrix.diagonal().min())
     tol = LANCZOS_TOL * c
     shifted = gen.matrix + c * scipy.sparse.identity(dim, format="csr")
     start = np.random.default_rng(0).standard_normal(dim)
+    start -= start.mean()
+    dscal(1.0 / dnrm2(start), start)
+    keep = max(1, LANCZOS_BASIS_BYTES // start.nbytes)
+    basis, resume = [], None
     alphas, betas = [], []
     next_check = LANCZOS_CHECK_EVERY
-    for k, (_, alpha, beta) in enumerate(_lanczos(shifted, start), start=1):
+    for k, (q, alpha, beta) in enumerate(_lanczos(shifted, start, np.zeros(dim), 0.0), start=1):
         if 2 * k > LANCZOS_MAX_MATVECS:
             raise SolverConvergenceError(
                 f"eigensolver did not converge on dimension {dim} within "
                 f"{LANCZOS_MAX_MATVECS} matrix-vector products"
             )
+        if k <= keep:
+            basis.append(q)
+        elif resume is None:
+            resume = (q, basis[-1], betas[-1])
         alphas.append(alpha)
         betas.append(beta)
         if k >= next_check or beta <= LANCZOS_BREAKDOWN * c or k == dim - 1:
@@ -241,9 +258,13 @@ def _top_eigenvector(gen: Generator) -> np.ndarray:
             ritz = ritz[:, 0]
             if beta * abs(ritz[-1]) <= tol or k == dim - 1:
                 break
+    weights = ritz.tolist()
     vec = np.zeros(dim)
-    for weight, (q, _, _) in zip(ritz.tolist(), _lanczos(shifted, start)):
+    for weight, q in zip(weights, basis):
         daxpy(q, vec, a=weight)
+    if resume is not None:
+        for weight, (q, _, _) in zip(weights[keep:], _lanczos(shifted, *resume)):
+            daxpy(q, vec, a=weight)
     return vec / np.linalg.norm(vec)
 
 
@@ -252,18 +273,19 @@ def exact_gap(gen: Generator, method: str = "auto") -> SpectralReport:
 
     Dense symmetric eigendecomposition up to ``DENSE_THRESHOLD`` states; it
     raises ``SolverConvergenceError`` unless the zero eigenvalue is simple.
-    Above it, Lanczos with no factorization: a two-pass plain Lanczos finds
-    the eigenvector of the largest eigenvalue of ``Q + c I`` off the
-    constant vector (the zero mode), where ``c`` is twice the largest exit
-    rate, so that ``c`` bounds the spectrum of -Q by Gershgorin.  On both
-    paths the gap is the Rayleigh quotient of -Q at the second eigenvector:
-    not ``c - theta``, whose subtraction cancels when the gap is small
-    against ``c``, and not the dense eigenvalue, whose last digits move
-    with the BLAS thread count.
-    The start vector is fixed, so repeated solves return the same floats; a
-    solve that needs more than ``LANCZOS_MAX_MATVECS`` matrix-vector
-    products raises ``SolverConvergenceError``.  The 2-norm residual of the
-    computed eigenpair is reported either way.
+    Above it, Lanczos with no factorization: a plain Lanczos, which keeps
+    its basis up to ``LANCZOS_BASIS_BYTES`` and recomputes only the rest in
+    a second pass, finds the eigenvector of the largest eigenvalue of
+    ``Q + c I`` off the constant vector (the zero mode), where ``c`` is
+    twice the largest exit rate, so that ``c`` bounds the spectrum of -Q by
+    Gershgorin.  On both paths the gap is the Rayleigh quotient of -Q at
+    the second eigenvector: not ``c - theta``, whose subtraction cancels
+    when the gap is small against ``c``, and not the dense eigenvalue,
+    whose last digits move with the BLAS thread count.
+    The start vector is fixed, so repeated solves return the same floats
+    whatever the budget; a solve whose first pass needs more than half of
+    ``LANCZOS_MAX_MATVECS`` steps raises ``SolverConvergenceError``.  The
+    2-norm residual of the computed eigenpair is reported either way.
     """
     dim = gen.dimension
     if dim < 2:

@@ -784,6 +784,25 @@ def test_cli_import_leaves_scipy_stats_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_python_m_runs_a_command(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "flow"
+    proc = subprocess.run(
+        [sys.executable, "-m", "zrpgap.cli", "flow", "--d", "1", "--L", "4", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert {"flow.json", "flow.csv", "manifest.json"} <= {p.name for p in out.iterdir()}
+    proc = subprocess.run(
+        [sys.executable, "-m", "zrpgap.cli", "flow", "--d", "0", "--L", "4",
+         "--out", str(tmp_path / "bad")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
 # Loaded on first use only.  These tests run in a fresh interpreter:
 # tests/test_stats.py imports scipy.stats, and with it all four, at collection.
 SCIPY_SUBPACKAGES = ("scipy.sparse", "scipy.sparse.linalg", "scipy.special", "scipy.linalg")

@@ -268,13 +268,91 @@ def test_iterative_gap_is_reproducible():
 
 
 def test_iterative_matvec_cap_raises(monkeypatch):
-    # Complete(2) r=300 needs about 600 matrix-vector products; the cap is
-    # read per call
+    # Complete(2) r=300 takes 300 Lanczos steps, and a cap of 100 stops pass
+    # one after 50; the cap is read per call
     gen = build_generator(Complete(2), 300)
     assert exact_gap(gen, method="iterative").gap > 0
     monkeypatch.setattr(spectral, "LANCZOS_MAX_MATVECS", 100)
     with pytest.raises(SolverConvergenceError, match="did not converge"):
         exact_gap(gen, method="iterative")
+
+
+# sha256 of _top_eigenvector(gen).tobytes() from the solve that kept no
+# basis and reran the whole recurrence in pass two: ordinary convergence
+# (100 steps), k = dim - 1 (300 steps) and a longer run (176 steps)
+PINNED_EIGENVECTORS = [
+    (Torus(1, 7), 7, "e14a929000962d6acaa97c47f57b68382400527f14d873f99fb5ee22fba398ea"),
+    (Complete(2), 300, "9e5d8a63e8ecf3ad493bd876afd91c241b03e937bfabf70552a4f1f91211b385"),
+    (Complete(3), 60, "7dc1303cf95297a7e51ffe59faad0f24954d91e1bf342f3d8635d87e5208570a"),
+]
+
+
+class _CountingMatrix:
+    def __init__(self, matrix, counter):
+        self.matrix, self.counter = matrix, counter
+
+    def __matmul__(self, vector):
+        self.counter.append(1)
+        return self.matrix @ vector
+
+
+def _count_products(monkeypatch):
+    products = []
+    lanczos = spectral._lanczos
+    monkeypatch.setattr(spectral, "_lanczos", lambda shifted, *state: lanczos(
+        _CountingMatrix(shifted, products), *state))
+    return products
+
+
+@pytest.mark.parametrize("kept", [None, 1, 7])
+@pytest.mark.parametrize(
+    "graph,r,digest", PINNED_EIGENVECTORS, ids=[f"{g}-r{r}" for g, r, _ in PINNED_EIGENVECTORS]
+)
+def test_kept_basis_changes_no_bit(monkeypatch, graph, r, digest, kept):
+    # kept=None is the default budget, which holds each basis; room for one
+    # vector or for a few makes pass two resume the recurrence
+    gen = build_generator(graph, r)
+    if kept is not None:
+        monkeypatch.setattr(spectral, "LANCZOS_BASIS_BYTES", kept * 8 * gen.dimension)
+    vec = spectral._top_eigenvector(gen)
+    assert hashlib.sha256(vec.tobytes()).hexdigest() == digest
+
+
+def test_kept_basis_makes_one_product_per_step(monkeypatch):
+    gen = build_generator(Torus(1, 7), 7)
+    products = _count_products(monkeypatch)
+    spectral._top_eigenvector(gen)
+    steps = len(products)
+    assert steps == 100
+    for kept in (1, 7, steps - 1, steps):
+        monkeypatch.setattr(spectral, "LANCZOS_BASIS_BYTES", kept * 8 * gen.dimension)
+        products.clear()
+        spectral._top_eigenvector(gen)
+        assert len(products) == 2 * steps - kept
+    # the start vector is kept even when it alone is over the budget
+    monkeypatch.setattr(spectral, "LANCZOS_BASIS_BYTES", 0)
+    products.clear()
+    spectral._top_eigenvector(gen)
+    assert len(products) == 2 * steps - 1
+
+
+def test_kept_basis_stays_within_its_budget(monkeypatch):
+    # Complete(2) r=2000 takes 2,000 steps: 32 MB of basis if all were kept;
+    # 1 MB holds 65 of them, and the rest of the solve about 0.5 MB
+    spectral._top_eigenvector(build_generator(Complete(2), 300))  # loads scipy.linalg, untraced
+    gen = build_generator(Complete(2), 2000)
+    budget = 2**20
+    monkeypatch.setattr(spectral, "LANCZOS_BASIS_BYTES", budget)
+    products = _count_products(monkeypatch)
+    tracemalloc.start()
+    try:
+        spectral._top_eigenvector(gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget + 2 * 2**20
+    kept = budget // (8 * gen.dimension)
+    assert len(products) == 2 * 2000 - kept
 
 
 def test_iterative_needs_three_states():
