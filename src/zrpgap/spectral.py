@@ -241,8 +241,9 @@ def _top_eigenvector(gen: Generator) -> np.ndarray:
     for k, (q, alpha, beta) in enumerate(_lanczos(shifted, start, np.zeros(dim), 0.0), start=1):
         if 2 * k > LANCZOS_MAX_MATVECS:
             raise SolverConvergenceError(
-                f"eigensolver did not converge on dimension {dim} within "
-                f"{LANCZOS_MAX_MATVECS} matrix-vector products"
+                f"eigensolver did not converge on dimension {dim} in {k - 1} Lanczos steps, "
+                f"the most that the cap of {LANCZOS_MAX_MATVECS} matrix-vector products "
+                f"allows at two per step"
             )
         if k <= keep:
             basis.append(q)
@@ -404,6 +405,52 @@ def transient_distribution(gen: Generator, start, times) -> np.ndarray:
     point = np.zeros(gen.dimension)
     point[gen.config_index(start)] = 1.0
     return _uniformize(gen.matrix, point, times)
+
+
+def occupation_tail(matrix, in_set, horizon: float, threshold: float) -> np.ndarray:
+    """P_z(time in the states of the mask ``in_set`` during [0, horizon] >=
+    threshold) under the generator ``matrix``, for every start z.
+
+    Uniformized at Lambda, the largest exit rate, a path makes N ~
+    Poisson(Lambda horizon) jumps, and given N its N + 1 holding pieces are
+    ``horizon`` times Dirichlet(1, ..., 1) spacings: if k of the N + 1 visited
+    states lie in the set, the time there is ``horizon * Beta(k, N + 1 - k)``,
+    an atom at 0 or ``horizon`` for k = 0 or N + 1 (de Souza e Silva and Gail
+    1986; Sericola 2000).  The law of k given N and z follows a backward
+    recursion over the first jump, one sparse product for term N on the
+    first N + 1 columns of a states x counts table, so the work grows like
+    nnz (Lambda horizon)^2.  The series is cut as ``_uniformize`` cuts
+    it; its term count, then its table, is refused before any product.
+    """
+    in_set = np.asarray(in_set, dtype=bool)
+    dim = matrix.shape[0]
+    if threshold <= 0.0:
+        return np.ones(dim)
+    if threshold > horizon:
+        return np.zeros(dim)
+    lam = float(-matrix.diagonal().min()) if dim else 0.0
+    if lam <= 0.0:
+        return in_set.astype(float)
+    terms = uniformization_terms(lam, horizon, 1, dim)
+    if dim * (terms + 2) > UNIFORMIZATION_MAX_CELLS:
+        raise CapacityError(f"{terms} terms over {dim} states need {dim * (terms + 2)} "
+                            f"table cells, over the budget of {UNIFORMIZATION_MAX_CELLS}")
+    kernel = scipy.sparse.identity(dim, format="csr") + matrix / lam
+    weights = poisson_pmf(np.arange(terms + 1), lam * horizon)
+    # P(horizon * Beta(k, N + 1 - k) >= threshold) = I_{1 - u}(N + 1 - k, k)
+    u = 1.0 - threshold / horizon
+    counts = np.zeros((dim, terms + 2))
+    counts[np.arange(dim), in_set.astype(np.intp)] = 1.0
+    tail = weights[0] * counts[:, 1]
+    for big_n in range(1, terms + 1):
+        moved = kernel @ counts[:, :big_n + 1]
+        counts[:, :big_n + 1] = moved
+        counts[in_set, 0] = 0.0
+        counts[in_set, 1:big_n + 2] = moved[in_set]
+        k = np.arange(1, big_n + 1)
+        inside = scipy.special.betainc(big_n + 1 - k, k, u)
+        tail += weights[big_n] * (counts[:, 1:big_n + 1] @ inside + counts[:, big_n + 1])
+    return tail
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import hashlib
 import math
@@ -28,6 +29,7 @@ from zrpgap.reversal import (
     simulate_reversed_hitting,
     survival_agreement,
 )
+from zrpgap.seeding import derive_seed, make_generator
 from scipy import stats as sps
 
 from zrpgap.spectral import (
@@ -35,10 +37,11 @@ from zrpgap.spectral import (
     UNIFORMIZATION_TAIL,
     _uniformize,
     build_generator,
+    occupation_tail,
     transient_distribution,
     uniformization_terms,
 )
-from zrpgap.stats import WINDOW_CONSTANT, fit_exponential_tail
+from zrpgap.stats import WINDOW_CONSTANT, MCEstimate, fit_exponential_tail
 
 
 def brute_force_states(n, high_count):
@@ -393,23 +396,70 @@ def test_two_tags_only_is_everywhere_balanced():
 def test_occupation_time_inequality_threshold_zero_is_sure():
     chain = build_tagged_pair_chain(3, 0)
     report = occupation_time_inequality(
-        chain, 0.0, chain.states[1], chain.states[2], replicas=1000, seed=2,
-        horizon=0.5,
+        chain, 0.0, chain.states[1], chain.states[2], horizon=0.5,
     )
-    assert report.forward.value == 1.0
-    assert report.reversed_max.value == 1.0
+    assert report.forward == 1.0
+    assert report.reversed_max == 1.0
     assert report.constant >= 1.0
-    assert report.bound_holds_within_2se
+    assert report.bound_holds
 
 
 def test_occupation_time_inequality_nontrivial():
     chain = build_tagged_pair_chain(3, 0)
     x_state = chain.states[1]
     for start in chain.states[1:4]:
-        report = occupation_time_inequality(
-            chain, 0.2, x_state, start, replicas=4000, seed=9, horizon=1.0
-        )
-        assert report.bound_holds_within_2se
+        report = occupation_time_inequality(chain, 0.2, x_state, start, horizon=1.0)
+        assert report.bound_holds
+
+
+def _jump_rows(rates):
+    """Per state: total exit rate, targets and cumulative target rates."""
+    rows = []
+    for i in range(rates.shape[0]):
+        lo, hi = rates.indptr[i], rates.indptr[i + 1]
+        cum = np.cumsum(rates.data[lo:hi]).tolist()
+        rows.append((cum[-1] if cum else 0.0, rates.indices[lo:hi].tolist(), cum))
+    return rows
+
+
+def _simulate_occupation(rows, start_idx, x_idx, horizon, rng):
+    """Occupation time of one state up to the horizon, one trajectory."""
+    state = start_idx
+    clock = 0.0
+    occupied = 0.0
+    while clock < horizon:
+        total, targets, cum = rows[state]
+        if total <= 0.0:
+            if state == x_idx:
+                occupied += horizon - clock
+            break
+        dt = rng.standard_exponential() / total
+        if state == x_idx:
+            occupied += min(dt, horizon - clock)
+        clock += dt
+        if clock >= horizon:
+            break
+        state = targets[bisect.bisect_right(cum, rng.random() * total)]
+    return occupied
+
+
+@pytest.mark.parametrize("n,j", [(3, 0), (4, 1)])
+def test_occupation_tail_matches_path_simulation(n, j):
+    # the exact occupation law against event-by-event paths of the same
+    # float rates, forward and reversed, from each start in states[1:4]
+    replicas, threshold, horizon = 20_000, 0.2, 1.0
+    forward = build_tagged_pair_chain(n, j)
+    x_idx = 1
+    in_x = np.arange(forward.size) == x_idx
+    for case, chain in enumerate((forward, reverse_chain(forward))):
+        exact = occupation_tail(reversal._float_generator(chain), in_x, horizon, threshold)
+        rows = _jump_rows(reversal._float_rates(chain))
+        for start in range(1, 4):
+            rng = make_generator(derive_seed(17, 10 * case + start))
+            hits = sum(_simulate_occupation(rows, start, x_idx, horizon, rng) >= threshold
+                       for _ in range(replicas))
+            estimate = MCEstimate.binomial(hits, replicas, 17)
+            assert abs(exact[start] - estimate.value) <= 3 * estimate.stderr
 
 
 # ---------------------------------------------------------------------------

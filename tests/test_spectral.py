@@ -22,6 +22,7 @@ from zrpgap.spectral import (
     build_generator,
     exact_gap,
     fit_decay_rate,
+    occupation_tail,
     rayleigh_quotient,
     transient_distribution,
     tv_curve,
@@ -277,6 +278,14 @@ def test_iterative_matvec_cap_raises(monkeypatch):
         exact_gap(gen, method="iterative")
 
 
+def test_matvec_cap_refusal_names_the_steps_made(monkeypatch):
+    gen = build_generator(Complete(2), 300)
+    monkeypatch.setattr(spectral, "LANCZOS_MAX_MATVECS", 100)
+    with pytest.raises(SolverConvergenceError,
+                       match="in 50 Lanczos steps, .* cap of 100 matrix-vector products"):
+        exact_gap(gen, method="iterative")
+
+
 # sha256 of _top_eigenvector(gen).tobytes() from the solve that kept no
 # basis and reran the whole recurrence in pass two: ordinary convergence
 # (100 steps), k = dim - 1 (300 steps) and a longer run (176 steps)
@@ -459,6 +468,42 @@ def test_uniformization_tables_are_budgeted():
     gen = build_generator(Complete(3), 2)
     with pytest.raises(CapacityError, match="table cells"):
         transient_distribution(gen, (2, 0, 0), np.zeros(10**5 + 1))
+
+
+def test_occupation_tail_meets_the_two_state_closed_form():
+    # 0 -> 1 at rate q, 1 absorbing: the time in {0} is min(Exp(q), T), so
+    # P_0(time >= a) = exp(-q a) for 0 < a <= T
+    q, horizon = 1.7, 2.0
+    matrix = sparse.csr_matrix([[-q, q], [0.0, 0.0]])
+    in_set = [True, False]
+    for a in np.linspace(0.0, horizon, 41)[1:]:
+        tail = occupation_tail(matrix, in_set, horizon, a)
+        assert abs(tail[0] - math.exp(-q * a)) <= 1e-12
+        assert tail[1] == 0.0
+    for a in (horizon * (1 + 1e-12), 3.0, math.inf):
+        assert occupation_tail(matrix, in_set, horizon, a).tolist() == [0.0, 0.0]
+    for a in (0.0, -1.0):
+        assert occupation_tail(matrix, in_set, horizon, a).tolist() == [1.0, 1.0]
+
+
+def test_occupation_tail_without_exits_is_the_set_indicator():
+    matrix = sparse.csr_matrix((3, 3))
+    tail = occupation_tail(matrix, [False, True, True], 2.0, 0.5)
+    assert tail.tolist() == [0.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("dim,horizon,match", [
+    (6, 2e6, "term budget"),  # a Poisson mean of 2e6 terms
+    (1000, 2e5, "table cells"),  # 1,000 states x about 2e5 count columns
+])
+def test_occupation_tail_is_refused_before_the_series(dim, horizon, match, monkeypatch):
+    def no_weights(*args):
+        raise AssertionError("poisson_pmf called")
+
+    monkeypatch.setattr(spectral, "poisson_pmf", no_weights)
+    matrix = -sparse.identity(dim, format="csr")
+    with pytest.raises(CapacityError, match=match):
+        occupation_tail(matrix, np.ones(dim, dtype=bool), horizon, 1.0)
 
 
 def test_tv_curve_point_start():

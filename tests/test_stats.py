@@ -13,8 +13,9 @@ from zrpgap.configurations import (
     validate_configuration,
 )
 from zrpgap.errors import CapacityError
-from zrpgap.seeding import derive_seed, make_generator, splitmix64
-from zrpgap.spectral import UNIFORMIZATION_TAIL
+from zrpgap.graphs import Complete
+from zrpgap.seeding import derive_seed, make_generator, replica_generators, splitmix64
+from zrpgap.spectral import UNIFORMIZATION_TAIL, build_generator, occupation_tail
 from zrpgap.stats import (
     WINDOW_CONSTANT,
     OccupancyTrace,
@@ -491,6 +492,38 @@ def test_window_constant_estimate_positive():
 
 def test_window_constant_is_the_default_estimate():
     assert estimate_window_constant() == WINDOW_CONSTANT
+
+
+@pytest.mark.parametrize("rho,exact", [(1, 0.64500), (2, 0.59056)])
+def test_window_constant_cases_meet_the_exact_occupation_law(rho, exact):
+    # the per-case mean of estimate_window_constant on K4, E[min(empty time,
+    # rho+1)] / (rho+1) of one vertex over a window from a uniform start
+    # with at most 2(rho+1) particles there, is the integral of the exact
+    # occupation tail over thresholds in [0, rho+1]
+    n, r = 4, 4 * rho
+    horizon, cap_time, cap_start = (rho + 1.0) ** 2, rho + 1.0, 2.0 * (rho + 1.0)
+    gen = build_generator(Complete(n), r)
+    empty = gen.occupancies[:, 0] == 0
+    eligible = gen.occupancies[:, 0] <= cap_start
+    start = eligible / np.count_nonzero(eligible)
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    mean = sum(w * (start @ occupation_tail(gen.matrix, empty, horizon, a))
+               for w, a in zip(weights / 2, cap_time * (nodes + 1) / 2))
+    assert abs(mean - exact) < 5e-6
+    # the simulated ratio of sums over the first 2,000 replicas of the
+    # estimator's default seed, its standard error by linearisation over
+    # replicas
+    sums, counts = [], []
+    for seed, rng in replica_generators(20260809, range(2000)):
+        trace = occupancy_stats(n, r, horizon, seed, rng=rng)
+        kept = [min(e, trace.truncation) / cap_time
+                for e, o in zip(trace.empty_time, trace.start) if o <= cap_start]
+        sums.append(sum(kept))
+        counts.append(len(kept))
+    sums, counts = np.array(sums), np.array(counts)
+    ratio = sums.sum() / counts.sum()
+    stderr = (sums - ratio * counts).std(ddof=1) / math.sqrt(len(sums)) / counts.mean()
+    assert abs(ratio - mean) <= 3 * stderr
 
 
 @pytest.mark.parametrize("replicas", [0, 100_004])
