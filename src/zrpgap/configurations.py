@@ -4,18 +4,19 @@ A configuration of r indistinguishable particles on n vertices is a tuple of
 non-negative occupancies summing to r.  There are C(n+r-1, r) of them; the
 canonical order used everywhere in this package is lexicographic on the
 occupancies: :func:`enumerate_configurations` lists them as rows in that
-order, a configuration's rank is its row index, and :func:`move_kernel` gives
-the ranks after every single-particle move of a whole space at once.
+order, one numpy pass per column, a configuration's rank is its row index,
+and :func:`move_kernel` gives the ranks after every single-particle move of a
+whole space at once.  Both read one table of binomial coefficients,
+:func:`_completion_counts`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, format_count
 from .graphs import GraphSpec
 
 DEFAULT_MAX_CONFIGURATIONS = 200_000
@@ -36,32 +37,52 @@ def validate_configuration(occ, graph: GraphSpec | None = None) -> tuple[int, ..
     return occ
 
 
+def _completion_counts(n: int, r: int) -> np.ndarray:
+    """``table[m, x] = C(x + m, m)`` for m < n - 1 and x <= r: the number of
+    ways to place x particles on m + 1 vertices.
+
+    Row m is the running sum of row m - 1.  Every entry is at most
+    C(r + n - 2, n - 2) <= C(r + n - 1, r), the size of the whole space, so
+    int64 is exact for any space that is built.
+    """
+    table = np.ones((n - 1, r + 1), dtype=np.int64)
+    for m in range(1, n - 1):
+        table[m - 1].cumsum(out=table[m])
+    return table
+
+
 def enumerate_configurations(n: int, r: int, limit: int = DEFAULT_MAX_CONFIGURATIONS) -> np.ndarray:
     """All configurations of r particles on n vertices as an ``(N, n)`` int64
     array, one row each, in lexicographic order.
 
-    Stars and bars: the (n-1)-subsets of the n+r-1 slots (the bar positions)
-    come from ``itertools.combinations`` in lexicographic order, and the gaps
-    between consecutive bars are the occupancies, so the rows come out
-    lexicographic too.  The gaps are taken in place in the output array, so
-    the bars are the only other array of its size alive.
+    The rows sharing their first j occupancies form a block.  A block with R
+    particles left splits, at column j, into sub-blocks b = 0..R, and
+    sub-block b holds the C(R - b + m - 1, m - 1) ways to place the R - b
+    particles left on the m vertices to the right.  The column pass keeps
+    the particles left per sub-block in row order (``left``), repeats each
+    over its rows, and writes column j as the particles left before it minus
+    those left after it.  Whatever is left after column n - 2 is the last
+    column.  Only arrays of one column's size are alive beside the result.
     """
     total = configuration_count(n, r)
     if total > limit:
         raise CapacityError(
-            f"{total} configurations for n={n}, r={r} exceed the limit {limit}"
+            f"{format_count(total)} configurations for n={n}, r={r} exceed the limit {limit}"
         )
-    slots = n + r - 1
-    bars = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(slots), n - 1)),
-        dtype=np.int64,
-        count=total * (n - 1),
-    ).reshape(total, n - 1)
     occ = np.empty((total, n), dtype=np.int64)
-    occ[:, :-1] = bars
-    occ[:, -1] = slots
-    occ[:, 1:] -= bars
-    occ[:, 1:] -= 1
+    left = np.full(1, r, dtype=np.int64)
+    rows_left = r
+    # a block with R left has R + 1 sub-blocks with R, R - 1, ..., 0 left;
+    # ends is one past each block's last sub-block, where 0 are left
+    for j, sizes in enumerate(_completion_counts(n, r)[::-1]):
+        span = left + 1
+        ends = span.cumsum()
+        left = ends.repeat(span)
+        left -= np.arange(1, ends[-1] + 1)
+        below = left.repeat(sizes[left])
+        np.subtract(rows_left, below, out=occ[:, j])
+        rows_left = below
+    occ[:, -1] = rows_left
     return occ
 
 
@@ -91,11 +112,7 @@ def move_kernel(occ: np.ndarray):
     """
     dim, n = occ.shape
     r = int(occ[0].sum())
-    # table[m, x] = C(x + m, m): row m is the running sum of row m - 1, and
-    # every entry is at most C(r + n - 1, n - 1) = dim, so int64 is exact
-    table = np.ones((n, r + 1), dtype=np.int64)
-    for m in range(1, n):
-        np.cumsum(table[m - 1], out=table[m])
+    table = _completion_counts(n, r)
     up = np.zeros((n, dim), dtype=np.int64)
     rem = np.full(dim, r, dtype=np.int64)
     for j in range(1, n):

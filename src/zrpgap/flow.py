@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import graphs
 from .configurations import configuration_count, enumerate_configurations, move_kernel
-from .errors import CapacityError
+from .errors import CapacityError, format_count
 from .graphs import Torus, all_pairs_bfs
 
 # Most directed torus edges :func:`edge_loads` admits.  Its time and memory
@@ -259,7 +259,7 @@ def induced_flow_check(graph: Torus, r: int) -> InducedFlowCheck:
     n = graph.vertex_count
     pair_count = configuration_count(n, r) * n * (n - 1)
     if pair_count > 2_000_000:
-        raise CapacityError(f"{pair_count} routed pairs exceed the capacity limit")
+        raise CapacityError(f"{format_count(pair_count)} routed pairs exceed the capacity limit")
     occ = enumerate_configurations(n, r, limit=50_000)
     dists, counts = all_pairs_bfs(graph)
     common = math.lcm(*(c for row in counts for c in row))

@@ -52,7 +52,7 @@ import numpy as np
 import scipy  # scipy.sparse loads on first use, not at start-up
 
 from .configurations import enumerate_configurations, move_kernel
-from .errors import CapacityError
+from .errors import CapacityError, format_count
 from .seeding import make_generator, replica_generators
 from .spectral import _uniformize, occupation_tail
 
@@ -159,7 +159,7 @@ def _check_chain_size(n: int, high_count: int, max_states: int) -> None:
         raise ValueError("high_count must be non-negative")
     size = n * (n - 1) * math.comb(n + high_count - 1, high_count) + 1
     if size > max_states:
-        raise CapacityError(f"{size} chain states exceed the limit {max_states}")
+        raise CapacityError(f"{format_count(size)} chain states exceed the limit {max_states}")
 
 
 class _Space(NamedTuple):

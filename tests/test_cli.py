@@ -133,6 +133,22 @@ def test_capacity_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "args, count",
+    [
+        ("exact-gap --graph complete --n 100000 --r 100000", "about 10^60203 configurations"),
+        ("zeta-balance --n 20000 --j 20000", "about 10^12047 chain states"),
+        ("certificate --d 1 --L 9000 --r 9000", "about 10^5416 configurations"),
+    ],
+)
+def test_astronomical_space_exit_code(args, count, tmp_path, capsys):
+    # counts of more than 4,300 digits, which str() refuses to convert
+    code, out = run_cli(args.split(), tmp_path, "huge")
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"capacity error: {count} ")
+    assert not out.exists()
+
+
 def test_max_states_limits_exact_gap(tmp_path):
     code, _ = run_cli(
         ["exact-gap", "--graph", "complete", "--n", "3", "--r", "3", "--max-states", "5"],

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -16,7 +17,7 @@ from zrpgap.configurations import (
     transitions,
     unrank_configuration,
 )
-from zrpgap.errors import CapacityError
+from zrpgap.errors import CapacityError, format_count
 from zrpgap.graphs import Complete, Torus
 from zrpgap.seeding import make_generator
 
@@ -24,6 +25,34 @@ from zrpgap.seeding import make_generator
 def brute_force_enumeration(n, r):
     """Independent oracle: filter the full product lattice."""
     return sorted(occ for occ in product(range(r + 1), repeat=n) if sum(occ) == r)
+
+
+def stars_and_bars(n, r):
+    """Independent oracle: the (n-1)-subsets of the n+r-1 slots (the bar
+    positions) in lexicographic order, and the gaps between bars."""
+    slots = n + r - 1
+    total = math.comb(slots, n - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), n - 1)),
+        dtype=np.int64,
+        count=total * (n - 1),
+    ).reshape(total, n - 1)
+    cuts = np.hstack([np.full((total, 1), -1), bars, np.full((total, 1), slots)])
+    return np.diff(cuts, axis=1) - 1
+
+
+@pytest.mark.parametrize(
+    "n, r", [(1, 7), (6, 0), (2, 5000), (3, 630), (8, 12), (12, 5), (60, 3)]
+)
+def test_enumeration_matches_stars_and_bars(n, r):
+    configs = enumerate_configurations(n, r)
+    assert configs.dtype == np.int64 and configs.flags.c_contiguous
+    assert np.array_equal(configs, stars_and_bars(n, r))
+    rng = random.Random(n * 1000 + r)
+    for index in rng.sample(range(len(configs)), min(len(configs), 20)):
+        occ = tuple(configs[index].tolist())
+        assert rank_configuration(occ) == index
+        assert unrank_configuration(index, n, r) == occ
 
 
 def test_enumeration_examples():
@@ -53,7 +82,7 @@ def test_enumeration_rank_unrank_consistency(n, r):
 
 
 def test_enumeration_peak_memory_is_near_its_result():
-    # the bar positions and the output are the only full-size arrays; with
+    # beside the output, only arrays of one column's size are alive; with
     # np.diff's padded copy the peak was three times the result
     tracemalloc.start()
     try:
@@ -62,6 +91,17 @@ def test_enumeration_peak_memory_is_near_its_result():
     finally:
         tracemalloc.stop()
     assert peak < 2.2 * configs.nbytes
+
+
+def test_enumeration_peak_memory_on_many_vertices():
+    # 40 columns: a full-size table beside the output would double the peak
+    tracemalloc.start()
+    try:
+        configs = enumerate_configurations(40, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * configs.nbytes
 
 
 def test_move_kernel_peak_memory_is_one_prefix_table():
@@ -154,6 +194,16 @@ def test_rank_unrank_random_roundtrips():
 def test_capacity_limit():
     with pytest.raises(CapacityError):
         enumerate_configurations(30, 30, limit=10_000)
+    # C(17999, 9000) has 5,417 digits, past what str() converts
+    with pytest.raises(CapacityError, match=r"^about 10\^5416 configurations for n=9000"):
+        enumerate_configurations(9000, 9000)
+
+
+def test_format_count():
+    assert format_count(0) == "0"
+    assert format_count(10**30 - 1) == "9" * 30
+    assert format_count(10**30) == "about 10^30"
+    assert format_count(math.comb(17999, 9000)) == "about 10^5416"
 
 
 def test_transition_examples():

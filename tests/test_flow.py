@@ -215,6 +215,9 @@ def test_induced_flow_refuses_before_enumerating(monkeypatch):
     monkeypatch.setattr(flow, "enumerate_configurations", refuse)
     with pytest.raises(CapacityError, match="routed pairs"):
         induced_flow_check(Torus(2, 4), 5)
+    # 5,424 digits of routed pairs, past what str() converts
+    with pytest.raises(CapacityError, match=r"^about 10\^5424 routed pairs"):
+        induced_flow_check(Torus(1, 9000), 9000)
 
 
 def test_induced_flow_needs_torus(monkeypatch):

@@ -141,6 +141,9 @@ def test_hitting_times_at_zero_horizon():
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         build_tagged_pair_chain(10, 8, max_states=500)
+    # 12,048 digits of chain states, past what str() converts
+    with pytest.raises(CapacityError, match=r"^about 10\^12047 chain states"):
+        build_tagged_pair_chain(20000, 20000)
 
 
 def test_attempt_rates_capacity_guard():
