@@ -770,7 +770,7 @@ def survival_agreement(chain: TaggedPairChain, times) -> SurvivalAgreement:
         times=tuple(float(t) for t in times),
         forward=tuple(float(x) for x in fwd),
         backward=tuple(float(x) for x in rev),
-        sup_difference=float(np.max(np.abs(fwd - rev))) if times.size else 0.0,
+        sup_difference=float(np.max(np.abs(fwd - rev))),
     )
 
 

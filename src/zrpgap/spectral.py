@@ -66,8 +66,8 @@ LANCZOS_TOL = 1e-12
 # may take before the run is refused as a capacity error
 UNIFORMIZATION_TAIL = 1e-12
 UNIFORMIZATION_MAX_TERMS = 1_000_000
-# Poisson weights are evaluated this many terms at a time, so their table
-# stays small however long the series runs
+# Poisson weights are evaluated this many terms at a time, and powers summed
+# into the result this many states at a time, so neither table grows with a run
 UNIFORMIZATION_BLOCK = 1024
 # Most float cells (8 bytes each) any table of one uniformization run may
 # hold: a distribution per time, a Poisson weight per time for each term of
@@ -347,36 +347,37 @@ def uniformization_terms(rate: float, t_max: float, points: int, states: int,
     return poisson_truncation(rate * t_max, tail, max_terms - 1) + 1
 
 
+def _uniformization(matrix, times, tail=UNIFORMIZATION_TAIL, max_terms=UNIFORMIZATION_MAX_TERMS):
+    """Lambda, the largest exit rate of the generator ``matrix``; the last
+    term of its series to the latest of the array ``times``, refused by
+    :func:`uniformization_terms` before any product; and the kernel
+    I + Q/Lambda, the identity when nothing exits."""
+    if not times.size or not np.all(np.isfinite(times)) or np.any(times < 0):
+        raise ValueError("times must be non-empty, finite and non-negative")
+    lam = 0.0 - float(matrix.diagonal().min(initial=0.0))
+    kmax = uniformization_terms(lam, times.max(), times.size, matrix.shape[0], tail, max_terms)
+    return lam, kmax, scipy.sparse.identity(matrix.shape[0], format="csr") + matrix / (lam or 1.0)
+
+
 def _uniformize(
     matrix, start_vector, times, tail_tol=UNIFORMIZATION_TAIL, max_terms=UNIFORMIZATION_MAX_TERMS
 ) -> np.ndarray:
-    """Row vector ``start_vector @ exp(t Q)`` at each time, ``Q = matrix``.
+    """Row vector ``start_vector @ exp(t Q)`` at each time, ``Q = matrix``:
+    the Poisson(Lambda t) mixture of powers of the :func:`_uniformization`
+    kernel, cut at Poisson tail ``tail_tol``.  A sub-generator (rows summing
+    to at most zero) evolves the mass that has not yet left its block.
 
-    Uniformization: with rate Lambda = max exit rate (the largest -Q(x, x)),
-    the continuous-time law is the Poisson(Lambda*t) mixture of powers of
-    the discrete kernel I + Q/Lambda.  The series is
-    truncated once the remaining Poisson mass drops below ``tail_tol``.  A
-    sub-generator (rows summing to at most zero) evolves the mass that has
-    not yet left its block.
-
-    The powers ``mu_k`` are written into a table of ``min(points,
-    UNIFORMIZATION_BLOCK)`` rows, and each filled table is summed into the
-    ``(states, points)`` accumulator by one matrix product with its Poisson
-    weights.  The product is taken as ``powers.T @ weights``: that
-    orientation read the same bits under one and two OpenBLAS threads on
-    every shape tried (6 to 50,388 states, 1 to 200 times), where
+    Two ``(points, states)`` tables are held at once: the accumulator with
+    the powers ``mu_k`` (``min(points, UNIFORMIZATION_BLOCK)`` rows), then
+    with its C-ordered copy.  Each table of powers is summed into it as
+    ``powers.T @ weights``, ``UNIFORMIZATION_BLOCK`` states per product:
+    that orientation read the same bits under one and two OpenBLAS threads
+    on every shape tried (6 to 50,388 states, 1 to 200 times), where
     ``weights.T @ powers`` did not.
     """
-    dim = matrix.shape[0]
-    lam = float(-matrix.diagonal().min()) if dim else 0.0
-    # with no exits the series has one term, whatever the times: there may be none
-    t_max = float(times.max()) if lam > 0.0 else 0.0
-    kmax = uniformization_terms(lam, t_max, times.size, dim, tail_tol, max_terms)
-    if lam <= 0.0:
-        out = np.zeros((times.size, dim))
-        out[:] = start_vector
-        return out
-    kernel_t = (scipy.sparse.identity(dim, format="csr") + matrix / lam).T.tocsr()
+    times = np.asarray(times, dtype=float)
+    lam, kmax, kernel = _uniformization(matrix, times, tail_tol, max_terms)
+    kernel, dim = kernel.T.tocsr(), matrix.shape[0]
     powers = np.empty((min(times.size, UNIFORMIZATION_BLOCK), dim))
     acc = np.zeros((dim, times.size))
     mu = np.array(start_vector, dtype=float)
@@ -388,8 +389,11 @@ def _uniformize(
             for row, k in enumerate(terms):
                 powers[row] = mu
                 if k < kmax:
-                    mu = kernel_t @ mu
-            acc += powers[:terms.size].T @ weights[lo:lo + terms.size]
+                    mu = kernel @ mu
+            for s in range(0, dim, UNIFORMIZATION_BLOCK):
+                slab = slice(s, s + UNIFORMIZATION_BLOCK)
+                acc[slab] += powers[:terms.size, slab].T @ weights[lo:lo + terms.size]
+    del powers  # before the copy, so the two are never held together
     return np.ascontiguousarray(acc.T)
 
 
@@ -399,58 +403,54 @@ def transient_distribution(gen: Generator, start, times) -> np.ndarray:
     Computed by uniformization; the result is left unnormalized, biasing
     each probability by at most ``UNIFORMIZATION_TAIL``.
     """
-    times = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(times)) or np.any(times < 0):
-        raise ValueError("times must be finite and non-negative")
     point = np.zeros(gen.dimension)
     point[gen.config_index(start)] = 1.0
     return _uniformize(gen.matrix, point, times)
 
 
-def occupation_tail(matrix, in_set, horizon: float, threshold: float) -> np.ndarray:
+def occupation_tail(matrix, in_set, horizon: float, threshold) -> np.ndarray:
     """P_z(time in the states of the mask ``in_set`` during [0, horizon] >=
-    threshold) under the generator ``matrix``, for every start z.
+    a) under the generator ``matrix`` for every start z: a vector for one
+    threshold a, a (states, thresholds) table for an array of them.
 
-    Uniformized at Lambda, the largest exit rate, a path makes N ~
-    Poisson(Lambda horizon) jumps, and given N its N + 1 holding pieces are
-    ``horizon`` times Dirichlet(1, ..., 1) spacings: if k of the N + 1 visited
-    states lie in the set, the time there is ``horizon * Beta(k, N + 1 - k)``,
-    an atom at 0 or ``horizon`` for k = 0 or N + 1 (de Souza e Silva and Gail
-    1986; Sericola 2000).  The law of k given N and z follows a backward
-    recursion over the first jump, one sparse product for term N on the
-    first N + 1 columns of a states x counts table, so the work grows like
-    nnz (Lambda horizon)^2.  The series is cut as ``_uniformize`` cuts
-    it; its term count, then its table, is refused before any product.
+    Uniformized by :func:`_uniformization`, a path makes N ~ Poisson(Lambda
+    horizon) jumps, and given N its N + 1 holding pieces are ``horizon``
+    times Dirichlet(1, ..., 1) spacings: if k of the N + 1 visited states
+    lie in the set, the time there is ``horizon * Beta(k, N + 1 - k)``, an
+    atom at 0 or ``horizon`` for k = 0 or N + 1 (de Souza e Silva and Gail
+    1986; Sericola 2000).  One backward recursion over the first jump gives
+    the law of k given N and z, one sparse product per term on a states x
+    counts table (work like nnz (Lambda horizon)^2), and every threshold is
+    mixed from it.  Thresholds <= 0 read exactly 1, above the horizon 0.
+    Terms, then tables, are refused before any product.
     """
     in_set = np.asarray(in_set, dtype=bool)
+    a = np.asarray(threshold, dtype=float).ravel()
+    if np.isnan(a).any():
+        raise ValueError("thresholds must not be nan")
+    lam, terms, kernel = _uniformization(matrix, np.array([horizon], dtype=float))
     dim = matrix.shape[0]
-    if threshold <= 0.0:
-        return np.ones(dim)
-    if threshold > horizon:
-        return np.zeros(dim)
-    lam = float(-matrix.diagonal().min()) if dim else 0.0
-    if lam <= 0.0:
-        return in_set.astype(float)
-    terms = uniformization_terms(lam, horizon, 1, dim)
-    if dim * (terms + 2) > UNIFORMIZATION_MAX_CELLS:
-        raise CapacityError(f"{terms} terms over {dim} states need {dim * (terms + 2)} "
-                            f"table cells, over the budget of {UNIFORMIZATION_MAX_CELLS}")
-    kernel = scipy.sparse.identity(dim, format="csr") + matrix / lam
+    cells = dim * (terms + 2) + (dim + terms) * a.size  # counts, result and beta tables
+    if cells > UNIFORMIZATION_MAX_CELLS:
+        raise CapacityError(f"{terms} terms over {dim} states and {a.size} thresholds need "
+                            f"{cells} table cells, over the budget of {UNIFORMIZATION_MAX_CELLS}")
     weights = poisson_pmf(np.arange(terms + 1), lam * horizon)
-    # P(horizon * Beta(k, N + 1 - k) >= threshold) = I_{1 - u}(N + 1 - k, k)
-    u = 1.0 - threshold / horizon
+    # P(horizon * Beta(k, N + 1 - k) >= a) = I_{1 - a/horizon}(N + 1 - k, k), 0 < a <= horizon
+    u = np.clip(1.0 - a / (horizon or 1.0), 0.0, 1.0)
     counts = np.zeros((dim, terms + 2))
     counts[np.arange(dim), in_set.astype(np.intp)] = 1.0
-    tail = weights[0] * counts[:, 1]
+    tail = np.tile(weights[0] * counts[:, 1:2], a.size)
     for big_n in range(1, terms + 1):
         moved = kernel @ counts[:, :big_n + 1]
         counts[:, :big_n + 1] = moved
         counts[in_set, 0] = 0.0
         counts[in_set, 1:big_n + 2] = moved[in_set]
-        k = np.arange(1, big_n + 1)
+        k = np.arange(1, big_n + 1)[:, None]
         inside = scipy.special.betainc(big_n + 1 - k, k, u)
-        tail += weights[big_n] * (counts[:, 1:big_n + 1] @ inside + counts[:, big_n + 1])
-    return tail
+        tail += weights[big_n] * (counts[:, 1:big_n + 1] @ inside + counts[:, big_n + 1:big_n + 2])
+    tail[:, a <= 0.0] = 1.0
+    tail[:, a > horizon] = 0.0
+    return tail.reshape((dim,) + np.shape(threshold))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import pytest
 from scipy import sparse
 from scipy.linalg import expm
 
-from zrpgap import reversal
+from zrpgap import reversal, spectral
 from zrpgap.errors import CapacityError
 from zrpgap.graphs import Complete
 from zrpgap.reversal import (
@@ -249,6 +249,34 @@ def test_forward_reversed_survival_agreement(n, j):
     chain = build_tagged_pair_chain(n, j)
     agreement = survival_agreement(chain, [0.5, 1.0, 2.0])
     assert agreement.sup_difference <= 1e-10
+
+
+@pytest.mark.parametrize("j,times", [(1, [-1.0, 1.0]), (0, []), (1, [])])
+def test_survival_agreement_refuses_negative_or_empty_times(j, times):
+    with pytest.raises(ValueError, match="non-empty, finite and non-negative"):
+        survival_agreement(build_tagged_pair_chain(3, j), times)
+
+
+def test_every_uniformized_law_sets_up_through_one_helper(monkeypatch):
+    # each law derives Lambda, the term count and the kernel from one
+    # helper call per series: a second derivation would not be counted
+    calls = []
+
+    def counted(matrix, times, *args):
+        calls.append(matrix.shape[0])
+        return uniformization(matrix, times, *args)
+
+    uniformization = spectral._uniformization
+    monkeypatch.setattr(spectral, "_uniformization", counted)
+    gen = build_generator(Complete(3), 2)
+    transient_distribution(gen, (2, 0, 0), [0.5, 1.0])
+    assert calls == [6]
+    chain = build_tagged_pair_chain(3, 1)
+    survival_agreement(chain, [0.5])
+    unmerged = chain.size - len(balanced_states(chain))
+    assert calls == [6, unmerged, unmerged]
+    occupation_time_inequality(chain, 0.2, chain.states[1], chain.states[2], horizon=1.0)
+    assert calls == [6, unmerged, unmerged, chain.size, chain.size]
 
 
 def dense_generator(chain):

@@ -506,6 +506,58 @@ def test_occupation_tail_is_refused_before_the_series(dim, horizon, match, monke
         occupation_tail(matrix, np.ones(dim, dtype=bool), horizon, 1.0)
 
 
+def test_occupation_tail_reads_every_threshold_from_one_law():
+    # thresholds inside [0, horizon] match one call each; those outside it
+    # are exact, in any order and shape
+    gen = build_generator(Complete(4), 8)
+    empty = gen.occupancies[:, 0] == 0
+    horizon = 3.0
+    thresholds = np.array([0.1, -1.0, 1.5, 0.0, horizon, 3.5, 2.9])
+    table = occupation_tail(gen.matrix, empty, horizon, thresholds)
+    assert table.shape == (gen.dimension, thresholds.size)
+    for column, a in zip(table.T, thresholds):
+        single = occupation_tail(gen.matrix, empty, horizon, a)
+        assert single.shape == (gen.dimension,)
+        assert np.abs(column - single).max() <= 1e-15
+    assert (table[:, [1, 3]] == 1.0).all() and (table[:, 5] == 0.0).all()
+    grid = occupation_tail(gen.matrix, empty, horizon, thresholds.reshape(7, 1))
+    assert np.array_equal(grid, table.reshape(gen.dimension, 7, 1))
+
+
+@pytest.mark.parametrize("horizon,threshold", [
+    (-1.0, 0.5), (-1.0, -2.0), (-1.0, 2.0), (2.0, math.nan), (2.0, [0.5, math.nan]),
+])
+def test_occupation_tail_refuses_a_negative_horizon_or_a_nan_threshold(horizon, threshold):
+    matrix = sparse.csr_matrix([[-1.0, 1.0], [1.0, -1.0]])
+    with pytest.raises(ValueError):
+        occupation_tail(matrix, [True, False], horizon, threshold)
+
+
+@pytest.mark.parametrize("r", [0, 2])
+def test_transient_distribution_refuses_empty_times(r):
+    gen = build_generator(Complete(3), r)
+    with pytest.raises(ValueError, match="non-empty"):
+        transient_distribution(gen, (r, 0, 0), [])
+
+
+def test_uniformization_holds_two_tables():
+    # Torus(1,8) r=12, 50,388 states at 41 times: one (times, states) table
+    # is 16.5 MB; the accumulator is held with the powers, then with its
+    # C-ordered copy, beside the kernel (and a copy or two of the generator
+    # while it is built), but never a third table
+    gen = build_generator(Torus(1, 8), 12)
+    times = np.linspace(0.0, 20.0, 41)
+    table = times.size * gen.dimension * 8
+    csr = sum(a.nbytes for a in (gen.matrix.data, gen.matrix.indices, gen.matrix.indptr))
+    tracemalloc.start()
+    try:
+        transient_distribution(gen, (12,) + (0,) * 7, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * table + 3 * csr
+
+
 def test_tv_curve_point_start():
     gen = build_generator(Complete(2), 2)
     curve = tv_curve(gen, (2, 0), [0.0, 1.0, 5.0, 40.0])

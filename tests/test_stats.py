@@ -494,21 +494,25 @@ def test_window_constant_is_the_default_estimate():
     assert estimate_window_constant() == WINDOW_CONSTANT
 
 
-@pytest.mark.parametrize("rho,exact", [(1, 0.64500), (2, 0.59056)])
-def test_window_constant_cases_meet_the_exact_occupation_law(rho, exact):
-    # the per-case mean of estimate_window_constant on K4, E[min(empty time,
+@pytest.mark.parametrize("n,rho,exact", [
+    pytest.param(4, 1, 0.64500, id="1-0.645"),
+    pytest.param(4, 2, 0.59056, id="2-0.59056"),
+    pytest.param(8, 1, 0.68853, id="K8-1-0.68853"),
+])
+def test_window_constant_cases_meet_the_exact_occupation_law(n, rho, exact):
+    # the per-case mean of estimate_window_constant on K_n, E[min(empty time,
     # rho+1)] / (rho+1) of one vertex over a window from a uniform start
     # with at most 2(rho+1) particles there, is the integral of the exact
-    # occupation tail over thresholds in [0, rho+1]
-    n, r = 4, 4 * rho
+    # occupation tail over thresholds in [0, rho+1], all read from one law
+    r = n * rho
     horizon, cap_time, cap_start = (rho + 1.0) ** 2, rho + 1.0, 2.0 * (rho + 1.0)
     gen = build_generator(Complete(n), r)
     empty = gen.occupancies[:, 0] == 0
     eligible = gen.occupancies[:, 0] <= cap_start
     start = eligible / np.count_nonzero(eligible)
     nodes, weights = np.polynomial.legendre.leggauss(24)
-    mean = sum(w * (start @ occupation_tail(gen.matrix, empty, horizon, a))
-               for w, a in zip(weights / 2, cap_time * (nodes + 1) / 2))
+    tails = occupation_tail(gen.matrix, empty, horizon, cap_time * (nodes + 1) / 2)
+    mean = start @ tails @ weights / 2
     assert abs(mean - exact) < 5e-6
     # the simulated ratio of sums over the first 2,000 replicas of the
     # estimator's default seed, its standard error by linearisation over
