@@ -468,7 +468,8 @@ def _drift_params(density: float, c_const: float) -> DriftParams:
 
 @dataclass(frozen=True)
 class ReversedRun:
-    """One reversed-chain run until the balanced set, a horizon, or t_ref."""
+    """One reversed-chain run until the balanced set or a horizon; a run
+    stopped at the horizon is censored."""
 
     seed: int
     hit: bool
@@ -502,21 +503,20 @@ def simulate_reversed_hitting(
     seed: int,
     horizon: float,
     c_const: float,
-    t_ref: float | None = None,
     start=None,
     check_identity: bool = False,
     *,
     rng=None,
 ) -> ReversedRun:
-    """Run the reversed attempt dynamics until the balanced set is hit.
+    """Run the reversed attempt dynamics until the balanced set is hit or
+    the clock reaches ``horizon``.
 
     ``chain`` must be the forward chain; its stationary weights provide the
-    default start law.  ``t_ref`` stops the run early at a fixed time, which
-    is what the averaged drift check wants (the compensated functional is
-    evaluated at min(t_ref, hitting time)).  Horizon censoring is flagged,
-    never silently dropped.  ``check_identity`` re-derives the potential as
-    ladder(max) + jump account after every event and fails hard on any
-    mismatch.
+    default start law.  A run that stops at the horizon is flagged
+    censored, never silently dropped; the compensated functional is
+    evaluated at min(horizon, hitting time) either way.  ``check_identity``
+    re-derives the potential as ladder(max) + jump account after every
+    event and fails hard on any mismatch.
 
     The run draws from ``rng`` when given, else from ``make_generator(seed)``,
     exactly what these numpy calls would return: per event
@@ -560,12 +560,11 @@ def simulate_reversed_hitting(
     potential = y_start = params.ladder(max_occ)  # invariant: ladder(max_occ) + jumps
     boosts = events = 0
     clock = 0.0
-    stop = min(horizon, t_ref) if t_ref is not None else horizon
 
     while eta[s] != eta[t]:
         dt = exponential() / total
-        if clock + dt >= stop:
-            clock = stop
+        if clock + dt >= horizon:
+            clock = horizon
             break
         clock += dt
         events += 1
@@ -628,9 +627,8 @@ def simulate_reversed_hitting(
             raise RuntimeError("drift bookkeeping broken: potential != ladder(max) + jumps")
 
     hit = eta[s] == eta[t]
-    censored = not hit and (t_ref is None or clock < t_ref)
     y_final = potential - params.alpha * boosts + 4.0 * params.alpha / params.scale * clock
-    return ReversedRun(seed, hit, clock, censored, y_start, y_final, boosts, m_seen, events)
+    return ReversedRun(seed, hit, clock, not hit, y_start, y_final, boosts, m_seen, events)
 
 
 def sample_hitting_times(
@@ -688,7 +686,7 @@ def drift_check(
     The functional (ladder potential + jump account - alpha * failed boosts
     + drift compensator) stopped at the balanced set is a submartingale, so
     its mean increment over [0, t_ref] should be non-negative up to noise.
-    Each run stops at min(t_ref, 1e9), its horizon.
+    Each run takes ``t_ref`` as its horizon.
     """
     if replicas < 2:
         raise ValueError("need at least two replicas for a standard error")
@@ -697,9 +695,7 @@ def drift_check(
     chain = build_tagged_pair_chain(n, high_count)
     increments = np.empty(replicas)
     for i, (replica_seed, rng) in enumerate(replica_generators(seed, range(replicas))):
-        run = simulate_reversed_hitting(
-            chain, replica_seed, 1e9, c_const, t_ref=t_ref, rng=rng
-        )
+        run = simulate_reversed_hitting(chain, replica_seed, t_ref, c_const, rng=rng)
         increments[i] = run.drift_increment
     mean = float(increments.mean()) / t_ref
     stderr = float(increments.std(ddof=1)) / math.sqrt(replicas) / t_ref
@@ -753,8 +749,7 @@ def survival_agreement(chain: TaggedPairChain, times) -> SurvivalAgreement:
     which is the reversal identity this module is built around.  Chains
     above ``DEFAULT_MAX_CHAIN_STATES`` states are refused.
     """
-    if chain.size > DEFAULT_MAX_CHAIN_STATES:
-        raise CapacityError(f"{chain.size} states exceed the limit {DEFAULT_MAX_CHAIN_STATES}")
+    _check_chain_size(chain.n, chain.high_count, DEFAULT_MAX_CHAIN_STATES)
     absorbed = set(balanced_states(chain))
     keep = [i for i in range(chain.size) if i not in absorbed]
     times = np.asarray(times, dtype=float)
@@ -804,8 +799,7 @@ def occupation_time_inequality(
     class the inequality covers.  Chains above ``DEFAULT_MAX_CHAIN_STATES``
     states are refused.
     """
-    if chain.size > DEFAULT_MAX_CHAIN_STATES:
-        raise CapacityError(f"{chain.size} states exceed the limit {DEFAULT_MAX_CHAIN_STATES}")
+    _check_chain_size(chain.n, chain.high_count, DEFAULT_MAX_CHAIN_STATES)
     in_x = np.arange(chain.size) == chain.state_index(x_state)
     y_idx = chain.state_index(start_state)
     forward = float(occupation_tail(_float_generator(chain), in_x, horizon, threshold)[y_idx])

@@ -77,20 +77,26 @@ UNIFORMIZATION_MAX_CELLS = 10**8
 
 @dataclass
 class Generator:
-    """Sparse symmetric rate matrix over the enumerated configuration space.
-
-    Row i of the ``(N, n)`` array ``occupancies`` is the configuration of
-    rank i, which is index i of the matrix.
+    """Sparse symmetric rate matrix over the configurations of ``particles``
+    particles on ``graph``.  Index i is the configuration of rank i in
+    lexicographic order, so ranks and rows follow from the graph and the
+    particle count, and the matrix is the only array kept.
     """
 
     graph: GraphSpec
     particles: int
-    occupancies: np.ndarray
     matrix: scipy.sparse.csr_matrix
 
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def occupancies(self) -> np.ndarray:
+        """The ``(N, n)`` array whose row i is the configuration of index i,
+        enumerated afresh on each read."""
+        return enumerate_configurations(self.graph.vertex_count, self.particles,
+                                        limit=self.dimension)
 
     @property
     def configurations(self) -> list[tuple[int, ...]]:
@@ -111,19 +117,18 @@ def build_generator(graph: GraphSpec, r: int, max_states: int = DEFAULT_MAX_CONF
     configuration with v occupied, at rate 1/degree; repeated neighbors (the
     degenerate torus) add up to one entry.  The diagonal is minus the row
     sum, taken as the sequential sum of the row's degree x (occupied
-    vertices) copies of 1/degree.
+    vertices) copies of 1/degree.  The configurations are enumerated for the
+    assembly only and freed when it returns.
 
     The CSR arrays are written directly, each row's columns in ascending
-    order, with no sort.  Rows are in lexicographic order, and a move v -> w
-    first changes a configuration at min(v, w).  So a move with v < w lands
-    below the diagonal, and among those moves out of one row the column
-    rises with v and falls with w; a move with w < v lands above it, and
-    there the column falls with w and rises with v.  Each row keeps a
-    cursor, and the moves are written in that order: v ascending, w
-    descending over w > v, then the diagonal, then w descending, v
-    ascending over w < v.  The neighbor relation is symmetric, so the last
-    group is the first read backwards: the move w -> v out of row j, for
-    w < v, is the reverse of the move v -> w that reaches j.
+    order, with no sort, in one pass over the moves v -> w with v < w: v
+    ascending, w descending.  Rows are in lexicographic order.  Such a move
+    lowers a configuration first at v, so it lands below the diagonal, and
+    in this order its columns rise; it is written forward from the start of
+    the source row.  Its reverse w -> v out of the target raises it first at
+    v, so it lands above the diagonal, and in this order its columns fall;
+    it is written backward from the end of the target row.  The diagonal
+    takes the one slot left between the two.
     """
     n = graph.vertex_count
     occ = enumerate_configurations(n, r, limit=max_states)
@@ -141,28 +146,22 @@ def build_generator(graph: GraphSpec, r: int, max_states: int = DEFAULT_MAX_CONF
     np.cumsum(1 + per_vertex * occupied, out=indptr[1:])
     indices = np.empty(nnz, dtype=index)
     data = np.full(nnz, sums[copies])
-    cursor = indptr[:-1].copy()
+    lower, upper = indptr[:-1].copy(), indptr[1:] - 1
     moves = move_kernel(occ)
-    below = [sorted({w for w in ws if w > v}, reverse=True)
-             for v, ws in enumerate(graph.neighbor_table)]
-    for v in range(n):
-        src, ranks = moves(v, below[v])
-        at = cursor[src]
-        for cols in ranks:
-            indices[at] = cols
+    for v, ws in enumerate(graph.neighbor_table):
+        src, ranks = moves(v, sorted({w for w in ws if w > v}, reverse=True))
+        at = lower[src]
+        # one move is a bijection, so a row appears once among its targets
+        for targets in ranks:
+            indices[at] = targets
             at += 1
-        cursor[src] = at
-    indices[cursor] = np.arange(dim)
-    data[cursor] = 0.0 - sums[graph.degree * occupied]
-    cursor += 1
-    for v in reversed(range(n)):
-        src, ranks = moves(v, below[v][::-1])
-        for rows in ranks:
-            at = cursor[rows]
-            indices[at] = src
-            cursor[rows] = at + 1
+            indices[upper[targets]] = src
+            upper[targets] -= 1
+        lower[src] = at
+    indices[lower] = np.arange(dim)
+    data[lower] = 0.0 - sums[graph.degree * occupied]
     matrix = scipy.sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
-    return Generator(graph=graph, particles=r, occupancies=occ, matrix=matrix)
+    return Generator(graph=graph, particles=r, matrix=matrix)
 
 
 @dataclass(frozen=True)

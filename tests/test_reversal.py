@@ -788,6 +788,14 @@ def test_survival_agreement_refuses_above_the_chain_limit(monkeypatch):
         survival_agreement(chain, [0.5])
 
 
+def test_occupation_time_inequality_refuses_above_the_chain_limit(monkeypatch):
+    # the limit is read at call time, so a small chain stands in for a large one
+    chain = build_tagged_pair_chain(4, 1)
+    monkeypatch.setattr(reversal, "DEFAULT_MAX_CHAIN_STATES", chain.size - 1)
+    with pytest.raises(CapacityError, match="exceed the limit"):
+        occupation_time_inequality(chain, 0.2, chain.states[1], chain.states[2], horizon=1.0)
+
+
 def _runs_digest(results):
     return hashlib.sha256(
         repr([dataclasses.astuple(x) for x in results]).encode()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -181,6 +182,51 @@ def test_generator_assembly_memory_is_bounded():
     assert peak < 24 * 2**20
 
 
+@pytest.mark.parametrize("graph,r", [(Torus(2, 3), 3), (Torus(1, 2), 5), (Complete(5), 3)])
+def test_generator_assembly_ranks_each_move_once(graph, r, monkeypatch):
+    # every move v -> w is ranked once, with v < w; its reverse is read off it
+    calls = []
+
+    def counting_kernel(occ):
+        moves = move_kernel(occ)
+
+        def counted(v, ws):
+            calls.append((v, list(ws)))
+            return moves(v, ws)
+
+        return counted
+
+    monkeypatch.setattr(spectral, "move_kernel", counting_kernel)
+    build_generator(graph, r)
+    assert [v for v, _ in calls] == list(range(graph.vertex_count))
+    assert all(w > v for v, ws in calls for w in ws)
+
+
+def test_generator_holds_only_its_matrix():
+    # the Wilson instance, 50,388 states: the configurations (3.1 MB) are
+    # freed when assembly returns, and only the CSR arrays stay
+    build_generator(Complete(3), 2)  # first use of scipy.sparse, untraced
+    tracemalloc.start()
+    try:
+        gen = build_generator(Torus(1, 8), 12)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    q = gen.matrix
+    assert held <= q.data.nbytes + q.indices.nbytes + q.indptr.nbytes + 2**19
+
+
+@pytest.mark.parametrize("graph,r", [(Complete(2), 3), (Torus(1, 2), 4), (Torus(2, 3), 2),
+                                     (Complete(5), 0)])
+def test_generator_occupancies_are_the_enumeration(graph, r):
+    # the matrix is all a generator keeps; its configurations are enumerated on demand
+    assert [f.name for f in dataclasses.fields(Generator)] == ["graph", "particles", "matrix"]
+    gen = build_generator(graph, r)
+    occ = gen.occupancies
+    assert np.array_equal(occ, enumerate_configurations(graph.vertex_count, r))
+    assert gen.configurations == [tuple(row) for row in occ.tolist()]
+
+
 def test_spectrum_real_nonnegative_simple_zero():
     for graph, r in [(Complete(3), 3), (Torus(1, 4), 2), (Complete(4), 2)]:
         neg = -build_generator(graph, r).matrix.toarray()
@@ -240,7 +286,6 @@ def test_dense_path_rejects_a_second_zero_mode():
     split = Generator(
         graph=gen.graph,
         particles=gen.particles,
-        occupancies=np.vstack([gen.occupancies, gen.occupancies]),
         matrix=sparse.block_diag([gen.matrix, gen.matrix], format="csr"),
     )
     assert split.dimension <= DENSE_THRESHOLD
