@@ -28,7 +28,12 @@ upper estimate of the relaxation time.
 
 Only occupancy counts drive every rule above, so each copy is stored as
 (matched counts, active vertex, low counts); individual rank labels within
-the matched or low groups are interchangeable and are not tracked.
+the matched or low groups are interchangeable and are not tracked.  The
+event kernel moves one matched table for both copies: copy two's equals
+copy one's in phase 1 and equals it through the swap in phase 2, where copy
+two's active vertex is the swap of copy one's.  It walks each phase in one
+loop and writes copy two's table and both active vertices back before every
+call out (settling the markers, checking the pairing) and on return.
 
 Draw contract: a run draws its events in chunks of 128, 256, ... doubling
 up to 8192 draws.  Each chunk makes three calls on the run's generator, in
@@ -44,7 +49,6 @@ done around the draws.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,25 +135,29 @@ class CoupledState:
 
 def _settle(state: CoupledState) -> None:
     """Advance phase/stage markers while their end conditions already hold."""
+    one, two = state.one, state.two
+    m = one.matched
     while not state.coalesced:
-        one, two = state.one, state.two
+        x = one.active
         if state.phase == 1:
-            if one.matched[one.active] != two.matched[two.active]:
+            if m[x] != two.matched[two.active]:
                 return
-            state.a = one.active
+            state.a = x
             state.b = two.active
             state.phase = 2
             state.phase1_durations.append(state.clock - state._stage_start)
         else:
-            if one.top_count(state.a) != one.top_count(state.b):
+            a, b = state.a, state.b
+            if m[a] + (x == a) != m[b] + (x == b):
                 return
             _finish_stage(state)
 
 
 def _finish_stage(state: CoupledState) -> None:
-    for copy in (state.one, state.two):
-        copy.matched[copy.active] += 1
-    if state.check_invariants and state.one.matched != state.two.matched:
+    one, two = state.one, state.two
+    one.matched[one.active] += 1
+    two.matched[two.active] += 1
+    if state.check_invariants and one.matched != two.matched:
         raise RuntimeError(
             "coupling invariant broken: matched occupancies diverged at stage end"
         )
@@ -158,15 +166,19 @@ def _finish_stage(state: CoupledState) -> None:
     state.stage += 1
     state.phase = 1
     if state.stage == state.r:
-        state.one.active = -1
-        state.two.active = -1
+        one.active = -1
+        two.active = -1
         state.coalesced = True
         state.coalesced_at = state.clock
         return
-    for copy in (state.one, state.two):
+    for copy in (one, two):
         # promote the low particle at the lowest-indexed occupied vertex
-        copy.active = next(v for v, k in enumerate(copy.low) if k > 0)
-        copy.low[copy.active] -= 1
+        low = copy.low
+        v = 0
+        while not low[v]:
+            v += 1
+        copy.active = v
+        low[v] -= 1
 
 
 def _assert_pairing(state: CoupledState) -> None:
@@ -186,6 +198,20 @@ def _assert_pairing(state: CoupledState) -> None:
                 )
 
 
+def _write_back(state: CoupledState, x1: int, x2: int) -> None:
+    """Store the active vertices and copy two's matched counts: copy one's,
+    seen through the a <-> b swap in phase 2, where copy two's active
+    vertex is the swap of ``x1`` and ``x2`` is not read."""
+    one, two = state.one, state.two
+    m2 = two.matched
+    m2[:] = one.matched
+    if state.phase == 2:
+        a, b = state.a, state.b
+        m2[a], m2[b] = m2[b], m2[a]
+        x2 = b if x1 == a else a if x1 == b else x1
+    one.active, two.active = x1, x2
+
+
 def _advance(state: CoupledState, vs, ws, times, start: int, stop: int) -> int:
     """Apply events ``start..stop-1``: copy one fires ``vs[i]`` toward
     ``ws[i]`` at clock ``times[i]``; return the index after the last event
@@ -193,67 +219,100 @@ def _advance(state: CoupledState, vs, ws, times, start: int, stop: int) -> int:
 
     Copy two gets the identical move in phase 1, which also covers a
     coalesced pair, and the move mirrored through the a <-> b swap in
-    phase 2; then the pairing is checked if asked.  ``_settle`` runs only
-    when the current phase's end condition holds: that condition is the
-    first test it makes, and it returns at once on a coalesced pair, so the
-    markers, durations and draws are those of settling after every event.
-    The copies' active vertices, the phase and (a, b) live in locals and
-    are written back around every call out and on return.
+    phase 2.  Only copy one's matched table moves, so a matched move is
+    applied once (see the module docstring for the write-back).  Each phase
+    is one loop over the events; in phase 2 a move of low particles alone
+    takes its own branch and skips the end test, which it cannot meet.
+    ``_settle`` runs only when the end condition holds: that is the first
+    test ``_settle`` makes, so the markers, durations and draws are those of
+    settling after every event.  With ``check_invariants`` the events go one
+    at a time and the pairing is checked after each.
     """
-    one, two = state.one, state.two
-    m1, l1, m2, l2 = one.matched, one.low, two.matched, two.low
-    x1, x2 = one.active, two.active
-    phase, a, b = state.phase, state.a, state.b
-    check = state.check_invariants
-    coalesced = state.coalesced
+    if not state.check_invariants:
+        return _walk(state, vs, ws, times, start, stop)
     for i in range(start, stop):
-        v = vs[i]
-        w = ws[i]
-        # the best-ranked particle at v moves to w; an empty v wastes the firing
-        if m1[v]:
-            m1[v] -= 1
-            m1[w] += 1
-        elif x1 == v:
-            x1 = w
-        elif l1[v]:
-            l1[v] -= 1
-            l1[w] += 1
-        if phase == 2:
-            if v == a:
-                v = b
-            elif v == b:
-                v = a
-            if w == a:
-                w = b
-            elif w == b:
-                w = a
-        if m2[v]:
-            m2[v] -= 1
-            m2[w] += 1
-        elif x2 == v:
-            x2 = w
-        elif l2[v]:
-            l2[v] -= 1
-            l2[w] += 1
-        if check:
-            one.active, two.active = x1, x2
-            _assert_pairing(state)
-        if phase == 2:
-            if m1[a] + (x1 == a) != m1[b] + (x1 == b):
-                continue
-        elif m1[x1] != m2[x2] or coalesced:
-            continue
-        one.active, two.active = x1, x2
-        state.clock = times[i]
+        coalesced = state.coalesced
+        _walk(state, vs, ws, times, i, i + 1)
+        _assert_pairing(state)
+        if state.coalesced and not coalesced:
+            return i + 1
+    return stop
+
+
+def _walk(state: CoupledState, vs, ws, times, start: int, stop: int) -> int:
+    """:func:`_advance` without the pairing check."""
+    one, two = state.one, state.two
+    m1, l1, l2 = one.matched, one.low, two.low
+    x1, x2 = one.active, two.active
+    i = start
+    while not state.coalesced:
+        if state.phase == 1:
+            for i in range(i, stop):
+                v = vs[i]
+                w = ws[i]
+                # the best-ranked particle at v moves to w; an empty v
+                # wastes the firing
+                if m1[v]:
+                    m1[v] -= 1
+                    m1[w] += 1
+                else:
+                    if x1 == v:
+                        x1 = w
+                    elif l1[v]:
+                        l1[v] -= 1
+                        l1[w] += 1
+                    if x2 == v:
+                        x2 = w
+                    elif l2[v]:
+                        l2[v] -= 1
+                        l2[w] += 1
+                if m1[x1] == m1[x2]:
+                    break
+            else:
+                break
+        else:
+            a, b = state.a, state.b
+            swap = list(range(state.n))
+            swap[a], swap[b] = b, a
+            for i in range(i, stop):
+                v = vs[i]
+                if m1[v]:
+                    m1[v] -= 1
+                    m1[ws[i]] += 1
+                elif x1 == v:
+                    x1 = ws[i]
+                else:
+                    if l1[v]:
+                        l1[v] -= 1
+                        l1[ws[i]] += 1
+                    v = swap[v]
+                    if l2[v]:
+                        l2[v] -= 1
+                        l2[swap[ws[i]]] += 1
+                    continue
+                if m1[a] + (x1 == a) == m1[b] + (x1 == b):
+                    break
+            else:
+                break
+        # event i ended the phase
+        _write_back(state, x1, x2)
+        state.clock = float(times[i])
         _settle(state)
         x1, x2 = one.active, two.active
-        phase, a, b = state.phase, state.a, state.b
+        i += 1
         if state.coalesced:
-            stop = i + 1
+            stop = i
             break
-    one.active, two.active = x1, x2
+    else:
+        # entered coalesced: every particle is matched, the pair moves as one
+        for i in range(i, stop):
+            v = vs[i]
+            if m1[v]:
+                m1[v] -= 1
+                m1[ws[i]] += 1
+    _write_back(state, x1, x2)
     if stop > start:
-        state.clock = times[stop - 1]
+        state.clock = float(times[stop - 1])
         state.events += stop - start
     return stop
 
@@ -358,11 +417,15 @@ def run_to_coalescence(
     so marginal-law checks can be read off the same machinery.  ``rng``, when
     given, must be ``make_generator(seed)``'s stream (see :func:`init_coupling`).
     """
+    if not horizon >= 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon!r}")
+    pending = sorted(float(t) for t in observe_times)
+    if not all(0.0 <= t < math.inf for t in pending):
+        raise ValueError(f"observe times must be finite and >= 0, got {pending}")
     state = init_coupling(eta0, seed, eta_prime0, check_invariants, rng=rng)
     rng = state.rng
     n = state.n
     inv_n = 1.0 / n
-    pending = sorted(float(t) for t in observe_times)
     observations = []
 
     chunk = 64
@@ -376,17 +439,17 @@ def run_to_coalescence(
             dts = rng.standard_exponential(chunk) * inv_n
             # a sequential sum: each time is bitwise the clock + dt recurrence
             dts[0] += state.clock
-            times = np.add.accumulate(dts).tolist()
+            times = np.add.accumulate(dts)
             ws = (us + (us >= vs)).tolist()
             vs = vs.tolist()
             # events before index `within` happen no later than the horizon
-            within = bisect_right(times, horizon)
+            within = int(times.searchsorted(horizon, "right"))
             i = 0
             size = chunk
         # an observation inside the run's lifetime sees the state before the
         # first event after it
         if pending and (state.coalesced or pending[0] <= horizon):
-            cut = bisect_right(times, pending[0])
+            cut = int(times.searchsorted(pending[0], "right"))
         else:
             cut = size
         stop = min(cut, size if state.coalesced else within)
@@ -454,6 +517,8 @@ def sample_marginal(
     from :func:`point_mass`."""
     if replicas < 1:
         raise ValueError("need at least one replica")
+    if not 0.0 <= at_time < math.inf:
+        raise ValueError(f"at_time must be finite and >= 0, got {at_time!r}")
     eta0 = _Start(point_mass(n, r))
     counts: dict[tuple[int, ...], int] = {}
     horizon = at_time + 1.0

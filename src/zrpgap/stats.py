@@ -471,8 +471,8 @@ class MCEstimate:
 # Walkers one sweep of the no-return estimate treats at a time: its per-block
 # temporaries stay below a megabyte however many walkers run
 RW_BLOCK = 2**15
-# Walkers one estimate may run: each holds 17 bytes (int64 position, float64
-# time, one flag), so the largest estimate holds 1.7 GB
+# Walkers one estimate may run: each holds 17 bytes (int64 up-step count,
+# float64 time, one flag), so the largest estimate holds 1.7 GB
 RW_MAX_REPLICAS = 100_000_000
 
 
@@ -486,7 +486,7 @@ def rw_no_return_probability(r: float, replicas: int, seed: int) -> MCEstimate:
     Draw contract: the m walkers still running make one sweep at a time, in
     walker order.  A sweep first draws all m holding times as
     ``0.5 * standard_exponential`` (the values of ``exponential(0.5, m)``),
-    then all m steps as ``integers(0, 2)`` in int64, made +-1.  Walkers are
+    then all m steps as ``integers(0, 2)`` in int64, 1 a step up.  Walkers are
     treated ``RW_BLOCK`` at a time, which splits the draw calls but never
     reorders the draws.  More than ``RW_MAX_REPLICAS`` walkers is a
     ``CapacityError`` before anything is allocated.
@@ -501,27 +501,34 @@ def rw_no_return_probability(r: float, replicas: int, seed: int) -> MCEstimate:
             f"(17 bytes each)"
         )
     rng = make_generator(seed)
-    r2 = float(r) * float(r)
-    pos = np.zeros(replicas, dtype=np.int64)
-    t = np.zeros(replicas)  # start of each walker's current holding interval
+    # times are kept doubled, which is exact: a doubled holding time is the
+    # standard exponential draw itself, and the window [1, r^2] is [2, end]
+    end = 2.0 * (float(r) * float(r))
+    ups = np.zeros(replicas, dtype=np.int64)  # position is 2 * ups - sweep
+    t = np.zeros(replicas)  # twice the start of each walker's holding interval
     keep = np.empty(replicas, dtype=bool)
     hold = np.empty(min(replicas, RW_BLOCK))
     survived = 0
     m = replicas
+    sweep = 0
     while m:
         for a in range(0, m, RW_BLOCK):
             b = min(a + RW_BLOCK, m)
             h = hold[: b - a]
             rng.standard_exponential(out=h)
-            h *= 0.5
-            # interval [t, t + h) held pos; it kills the event when pos == 0
-            # and the interval meets [1, r^2]
+            # a running walker's interval [t, t + h) starts no later than the
+            # window closes (or the walker is done), so it kills the event
+            # when it holds 0 and ends after the window opens; by parity no
+            # walker is at 0 after an odd number of steps
             tb = t[a:b]
-            dead = pos[a:b] == 0
-            dead &= tb <= r2
             tb += h
-            dead &= tb > 1.0
-            done = tb > r2
+            done = tb > end
+            if sweep % 2:
+                survived += int(np.count_nonzero(done))
+                np.logical_not(done, out=keep[a:b])
+                continue
+            dead = ups[a:b] == sweep // 2
+            dead &= tb > 2.0
             done &= ~dead
             survived += int(np.count_nonzero(done))
             np.logical_not(dead | done, out=keep[a:b])
@@ -530,17 +537,20 @@ def rw_no_return_probability(r: float, replicas: int, seed: int) -> MCEstimate:
         w = 0
         for a in range(0, m, RW_BLOCK):
             b = min(a + RW_BLOCK, m)
-            step = rng.integers(0, 2, b - a)  # int64 draws, made +-1 in place
-            step *= 2
-            step -= 1
+            up = rng.integers(0, 2, b - a)  # int64 draws: 1 steps up
             k = keep[a:b]
-            moved = pos[a:b][k]
-            moved += step[k]
+            if w == a and k.all():
+                ups[a:b] += up
+                w = b
+                continue
+            moved = ups[a:b][k]
+            moved += up[k]
             c = moved.size
-            pos[w : w + c] = moved
+            ups[w : w + c] = moved
             t[w : w + c] = t[a:b][k]
             w += c
         m = w
+        sweep += 1
     return MCEstimate.binomial(survived, replicas, seed)
 
 

@@ -55,6 +55,33 @@ def test_samplers_validate_the_start_once(sampler, monkeypatch):
             sampler(n, r)
 
 
+@pytest.mark.parametrize("horizon,observe_times", [
+    (10.0, (float("nan"),)),
+    (10.0, (float("inf"),)),
+    (10.0, (1.0, -1.0)),
+    (float("nan"), ()),
+    (-1.0, ()),
+], ids=["observe-nan", "observe-inf", "observe-negative", "horizon-nan", "horizon-negative"])
+def test_run_refuses_bad_times_before_drawing(horizon, observe_times):
+    # a nan or infinite observation would carry the coalesced pair on forever
+    rng = make_generator(4)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        run_to_coalescence(point_mass(4, 3), 4, horizon, observe_times=observe_times,
+                           rng=rng)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("at_time", [float("nan"), float("inf"), -1.0])
+def test_marginal_refuses_bad_times_before_drawing(at_time, monkeypatch):
+    def no_replicas(*args):
+        raise AssertionError("replica streams made")
+
+    monkeypatch.setattr(coupling, "replica_generators", no_replicas)
+    with pytest.raises(ValueError, match="at_time"):
+        sample_marginal(4, 3, at_time, 3, 1)
+
+
 def test_single_particle_skips_phase_one():
     state = init_coupling((1, 0, 0), seed=3, eta_prime0=(0, 0, 1))
     assert state.stage == 0 and state.phase == 2
@@ -315,11 +342,27 @@ def test_late_observations_match_pinned_digest():
     assert _runs_digest(runs) == "90ad5f1907f73bd1"
 
 
-def _replay(eta0, seed, horizon):
+def _assert_written_back(state):
+    """Copy two's matched counts and active vertex, as the kernel leaves
+    them: copy one's, seen through the a <-> b swap in phase 2."""
+    one, two = state.one, state.two
+    if state.phase == 1:
+        assert two.matched == one.matched
+    else:
+        a, b = state.a, state.b
+        swapped = one.matched[:]
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        assert two.matched == swapped
+        assert two.active == (b if one.active == a else a if one.active == b
+                              else one.active)
+
+
+def _replay(eta0, seed, horizon, check_invariants=False, past=0.0):
     """``run_to_coalescence``'s draw schedule fed one event at a time
     through ``_step``: the final state and, after each applied event, the
-    clock and both configurations."""
-    state = init_coupling(eta0, seed)
+    clock and both configurations.  A coalesced pair is carried on to time
+    ``past``; copy two's tables are checked after every event."""
+    state = init_coupling(eta0, seed, check_invariants=check_invariants)
     rng, n, inv_n = state.rng, state.n, 1.0 / state.n
     trail = []
     chunk = 64
@@ -329,12 +372,11 @@ def _replay(eta0, seed, horizon):
         us = rng.integers(0, n - 1, chunk).tolist()
         dts = (rng.standard_exponential(chunk) * inv_n).tolist()
         for v, u, dt in zip(vs, us, dts):
-            if state.clock + dt > horizon:
+            if state.clock + dt > (past if state.coalesced else horizon):
                 return state, trail
             _step(state, v, u + 1 if u >= v else u, dt)
+            _assert_written_back(state)
             trail.append((state.clock, state.one.occupancy(), state.two.occupancy()))
-            if state.coalesced:
-                return state, trail
 
 
 @pytest.mark.parametrize("eta0,seed,horizon", [
@@ -353,6 +395,36 @@ def test_advance_replays_run_to_coalescence(eta0, seed, horizon):
     assert run.phase1_durations == tuple(state.phase1_durations)
     assert run.final_eta == state.one.occupancy()
     assert run.final_eta_prime == state.two.occupancy()
+
+
+@pytest.mark.parametrize("eta0,seeds,horizon,past", [
+    pytest.param(point_mass(16, 64), range(3), 1e4, 0.0, id="K16-r64"),
+    # seed 2 is censored, the other five observed well past coalescence
+    pytest.param(point_mass(5, 6), range(6), 20.0, 60.0, id="K5-r6-past-coalescence"),
+])
+def test_kernel_writes_copy_two_back(eta0, seeds, horizon, past, monkeypatch):
+    # one event at a time through `_step`, then in whole chunks: after every
+    # return of the kernel copy two's matched table and active vertex are
+    # copy one's, through the swap in phase 2
+    returns = []
+
+    def checked(state, *args):
+        stop = _advance(state, *args)
+        _assert_written_back(state)
+        returns.append(stop)
+        return stop
+
+    monkeypatch.setattr(coupling, "_advance", checked)
+    for seed in seeds:
+        state, trail = _replay(eta0, seed, horizon, check_invariants=True, past=past)
+        observe = (past,) if past else ()
+        run = run_to_coalescence(eta0, seed, horizon, observe_times=observe,
+                                 check_invariants=True)
+        assert run.coupling_time == state.coalesced_at
+        assert (run.final_eta, run.final_eta_prime) == trail[-1][1:]
+        if past and not run.censored:
+            assert run.observations == ((past, *trail[-1][1:]),)
+    assert len(returns) > len(seeds)
 
 
 def test_cuts_at_an_event_time_include_that_event():
